@@ -133,15 +133,15 @@ func TestRandomBlocksDeterminism(t *testing.T) {
 		if r1.CyclesPerIter != r2.CyclesPerIter {
 			t.Errorf("simulation not deterministic on random block")
 		}
-		p1, err := core.New().Predict(b, m)
+		r1a, err := core.New().Analyze(b, m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p2, err := core.New().Predict(b, m)
+		r2a, err := core.New().Analyze(b, m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p1 != p2 {
+		if r1a.Prediction != r2a.Prediction {
 			t.Error("analyzer not deterministic on random block")
 		}
 	}

@@ -108,67 +108,43 @@ func (a *Analyzer) Fingerprint() string {
 		a.Opt.IncludeFalseDeps, a.Opt.MemCarriedWindow, a.Opt.StoreForwardLat, a.Opt.DegradeUnknown)
 }
 
-// Analyze runs the in-core model for block b on machine model m. Scratch
-// memory is drawn from an internal pool, so concurrent callers (pipeline
-// jobs, served requests) are safe and a steady stream of analyses does
-// O(1) heap work after warmup beyond the returned Result itself.
+// Analyze runs the in-core model for block b on machine model m. The
+// analysis runs on a pooled ResultArena, so concurrent callers (pipeline
+// jobs, served requests) are safe, and the returned Result is a copy that
+// shares no memory with the arena: safe to retain, memoize and persist.
 func (a *Analyzer) Analyze(b *isa.Block, m *uarch.Model) (*Result, error) {
-	s := scratchPool.Get().(*Scratch)
-	defer scratchPool.Put(s)
-	return a.AnalyzeScratch(b, m, s)
-}
-
-// AnalyzeScratch is Analyze with caller-provided scratch memory (nil
-// falls back to fresh scratch). The Result never aliases s, so s may be
-// reused immediately; s must not be shared between goroutines.
-func (a *Analyzer) AnalyzeScratch(b *isa.Block, m *uarch.Model, s *Scratch) (*Result, error) {
-	if s == nil {
-		s = &Scratch{}
-	}
 	if err := b.Validate(); err != nil {
 		return nil, err
 	}
-	g, err := depgraph.NewScratch(b, m, a.Opt, &s.dg)
+	ar := arenaPool.Get().(*ResultArena)
+	defer arenaPool.Put(ar)
+	g, err := depgraph.NewScratch(b, m, a.Opt, &ar.s.dg)
 	if err != nil {
 		return nil, err
 	}
-	return finishResult(b, m, g, s, nil)
+	return finishResult(b, m, g, ar).copyOut(), nil
 }
 
 // finishResult builds the Result from an instantiated dependency graph —
-// the back half of every analysis entry point. With ar == nil the Result
-// and everything it references are freshly allocated (safe to memoize and
-// persist); with an arena the Result reuses ar's backing arrays and is
-// only valid until ar's next use.
-func finishResult(b *isa.Block, m *uarch.Model, g *depgraph.Graph, s *Scratch, ar *ResultArena) (*Result, error) {
-	var res *Result
-	if ar != nil {
-		res = &ar.res
-		*res = Result{Block: b, Model: m}
-	} else {
-		res = &Result{Block: b, Model: m}
-	}
+// the back half of every analysis entry point. The Result and every
+// slice it references are ar's, valid only until ar's next use.
+func finishResult(b *isa.Block, m *uarch.Model, g *depgraph.Graph, ar *ResultArena) *Result {
+	s := &ar.s
+	res := &ar.res
+	*res = Result{Block: b, Model: m}
 	nPorts := len(m.Ports)
 	s.jobs = s.jobs[:0]
 	s.jobSpan = append(s.jobSpan[:0], 0)
-	if ar != nil {
-		res.Instrs = ar.instrs[:0]
-	} else {
-		res.Instrs = make([]InstrReport, 0, len(b.Instrs))
-	}
+	res.Instrs = ar.instrs[:0]
 	for i := range b.Instrs {
 		d := g.Nodes[i].Desc
 		ir := InstrReport{
 			Index:      i,
+			Text:       ar.text(b, i),
 			Uops:       d.UopCount(),
 			Lat:        d.Lat,
 			TotalLat:   d.TotalLat,
 			Throughput: d.ThroughputCycles(),
-		}
-		if ar != nil {
-			ir.Text = ar.text(b, i)
-		} else {
-			ir.Text = b.Instrs[i].String()
 		}
 		if d.Match != uarch.MatchExact {
 			ir.Match = d.Match.String()
@@ -181,47 +157,27 @@ func finishResult(b *isa.Block, m *uarch.Model, g *depgraph.Graph, s *Scratch, a
 		res.TotalUops += d.UopCount()
 		res.Instrs = append(res.Instrs, ir)
 	}
-	if ar != nil {
-		ar.instrs = res.Instrs
-	}
+	ar.instrs = res.Instrs
 	// Per-instruction pressure over the instruction's span of the shared
-	// job array; only the Result's own copy is freshly allocated (from
-	// the arena's flat backing when one is supplied).
-	if ar != nil {
-		need := len(res.Instrs) * nPorts
-		ar.portLoads = grow(ar.portLoads, need)
-	}
+	// job array, written into the arena's flat port-load matrix.
+	ar.portLoads = grow(ar.portLoads, len(res.Instrs)*nPorts)
 	for i := range res.Instrs {
-		loads := s.heuristicInto(s.jobs[s.jobSpan[i]:s.jobSpan[i+1]], nPorts)
-		if ar != nil {
-			dst := ar.portLoads[i*nPorts : (i+1)*nPorts : (i+1)*nPorts]
-			copy(dst, loads)
-			res.Instrs[i].PortLoads = dst
-		} else {
-			res.Instrs[i].PortLoads = append([]float64(nil), loads...)
-		}
+		dst := ar.portLoads[i*nPorts : (i+1)*nPorts : (i+1)*nPorts]
+		copy(dst, s.heuristicInto(s.jobs[s.jobSpan[i]:s.jobSpan[i+1]], nPorts))
+		res.Instrs[i].PortLoads = dst
 	}
 
-	if ar != nil {
-		ar.portPressure = grow(ar.portPressure, nPorts)
-		copy(ar.portPressure, s.heuristicInto(s.jobs, nPorts))
-		res.PortPressure = ar.portPressure[:nPorts]
-	} else {
-		res.PortPressure = append([]float64(nil), s.heuristicInto(s.jobs, nPorts)...)
-	}
+	ar.portPressure = grow(ar.portPressure, nPorts)
+	copy(ar.portPressure, s.heuristicInto(s.jobs, nPorts))
+	res.PortPressure = ar.portPressure
 	res.TPBound = s.optimalBound(s.jobs, nPorts)
 	res.GreedyTPBound = s.greedyBound(s.jobs, nPorts)
 	res.IssueBound = float64(res.TotalUops) / float64(m.IssueWidth)
-	if ar != nil {
-		res.CriticalPath, res.CPPath = g.CriticalPathDetailAppend(ar.cpPath)
-		ar.cpPath = res.CPPath
-		res.LCD = g.LoopCarriedAppend(-1, ar.lcdPath)
-		if res.LCD.Path != nil {
-			ar.lcdPath = res.LCD.Path
-		}
-	} else {
-		res.CriticalPath, res.CPPath = g.CriticalPathDetail()
-		res.LCD = g.LoopCarried(-1)
+	res.CriticalPath, res.CPPath = g.CriticalPathDetailAppend(ar.cpPath)
+	ar.cpPath = res.CPPath
+	res.LCD = g.LoopCarriedAppend(-1, ar.lcdPath)
+	if res.LCD.Path != nil {
+		ar.lcdPath = res.LCD.Path
 	}
 
 	res.Prediction = math.Max(res.TPBound, res.IssueBound)
@@ -233,17 +189,28 @@ func finishResult(b *isa.Block, m *uarch.Model, g *depgraph.Graph, s *Scratch, a
 		res.Prediction = res.LCD.Cycles
 		res.Bound = "lcd"
 	}
-	return res, nil
+	return res
 }
 
-// Predict is a convenience wrapper returning only the predicted cycles per
-// iteration.
-func (a *Analyzer) Predict(b *isa.Block, m *uarch.Model) (float64, error) {
-	r, err := a.Analyze(b, m)
-	if err != nil {
-		return 0, err
+// copyOut returns a deep copy of an arena-owned Result that shares no
+// backing array with the arena. Per-instruction port loads share one flat
+// matrix, and empty paths stay nil. Instruction texts are immutable
+// strings, and Coverage.UnknownMnemonics is allocated afresh by every
+// analysis, so both are shared.
+func (r *Result) copyOut() *Result {
+	c := *r
+	c.PortPressure = append([]float64(nil), r.PortPressure...)
+	c.CPPath = append([]int(nil), r.CPPath...)
+	c.LCD.Path = append([]int(nil), r.LCD.Path...)
+	c.Instrs = append([]InstrReport(nil), r.Instrs...)
+	nPorts := len(r.PortPressure)
+	loads := make([]float64, len(r.Instrs)*nPorts)
+	for i := range c.Instrs {
+		dst := loads[i*nPorts : (i+1)*nPorts : (i+1)*nPorts]
+		copy(dst, r.Instrs[i].PortLoads)
+		c.Instrs[i].PortLoads = dst
 	}
-	return r.Prediction, nil
+	return &c
 }
 
 // CyclesPerElement converts a per-iteration prediction into cycles per

@@ -134,9 +134,9 @@ func TestPredictConvenience(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := New().Predict(b, m)
-	if err != nil || p <= 0 {
-		t.Errorf("Predict = %f, %v", p, err)
+	r, err := New().Analyze(b, m)
+	if err != nil || r.Prediction <= 0 {
+		t.Fatalf("Analyze = %v, %v", r, err)
 	}
 }
 

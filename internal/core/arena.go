@@ -1,22 +1,29 @@
 package core
 
 import (
+	"sync"
+
 	"incore/internal/depgraph"
 	"incore/internal/isa"
 	"incore/internal/uarch"
 )
 
-// ResultArena owns every backing array an arena-returned analysis writes:
-// the Result struct itself, the per-instruction reports, a flat port-load
-// matrix, the path buffers, and a per-block cache of rendered instruction
-// text. With a warm arena and prebuilt artifacts (skeleton + descriptors),
-// AnalyzeArena performs zero heap allocations per call — the internal-path
-// counterpart of the ~26–30 allocs/op the escaping Result costs.
+// ResultArena owns every backing array an analysis writes: the Result
+// struct itself, the per-instruction reports, a flat port-load matrix,
+// the path buffers, and a per-block cache of rendered instruction text.
+// Every analysis runs on one; Analyze and AnalyzeCompiled draw it from a
+// pool and return a copy. With a warm arena and prebuilt artifacts
+// (skeleton + descriptors), AnalyzeArena performs zero heap allocations
+// per call.
 //
 // The arena's Result is INVALID after the arena's next use: callers must
 // consume it (or copy what they keep) before analyzing again, must not
 // share it across goroutines, and must never hand it to a cache or the
 // persistent store. Use Analyzer.Analyze for results that escape.
+//
+// The text cache is keyed by block pointer, so a block must not be
+// modified in place once analyzed; pipeline.InternalArena, which binds
+// artifacts by block pointer, makes the same assumption.
 type ResultArena struct {
 	s   Scratch
 	res Result
@@ -47,26 +54,30 @@ func (ar *ResultArena) text(b *isa.Block, i int) string {
 	return ar.texts[i]
 }
 
+// arenaPool serves Analyze and AnalyzeCompiled.
+var arenaPool = sync.Pool{New: func() any { return new(ResultArena) }}
+
 // AnalyzeCompiled is Analyze against prebuilt compiled artifacts: sk holds
 // the block's model-independent dependency structure and descs the
 // instructions resolved against m (nil descs resolve here). The Result is
-// freshly allocated and byte-identical to Analyze's for the same inputs —
-// callers (internal/pipeline) may memoize and persist it interchangeably.
+// a copy out of a pooled arena and byte-identical to Analyze's for the
+// same inputs — callers (internal/pipeline) may memoize and persist it
+// interchangeably.
 func (a *Analyzer) AnalyzeCompiled(b *isa.Block, m *uarch.Model, sk *depgraph.Skeleton, descs []uarch.Desc) (*Result, error) {
-	s := scratchPool.Get().(*Scratch)
-	defer scratchPool.Put(s)
-	return a.analyzeCompiled(b, m, sk, descs, s, nil)
+	ar := arenaPool.Get().(*ResultArena)
+	defer arenaPool.Put(ar)
+	r, err := a.AnalyzeArena(b, m, sk, descs, ar)
+	if err != nil {
+		return nil, err
+	}
+	return r.copyOut(), nil
 }
 
-// AnalyzeArena is AnalyzeCompiled returning an arena-owned Result — the
+// AnalyzeArena is AnalyzeCompiled returning the arena-owned Result — the
 // zero-allocation internal path. See ResultArena for the (strict) validity
 // contract. The arena embeds its own scratch, so a ResultArena is also a
 // single-goroutine resource.
 func (a *Analyzer) AnalyzeArena(b *isa.Block, m *uarch.Model, sk *depgraph.Skeleton, descs []uarch.Desc, ar *ResultArena) (*Result, error) {
-	return a.analyzeCompiled(b, m, sk, descs, &ar.s, ar)
-}
-
-func (a *Analyzer) analyzeCompiled(b *isa.Block, m *uarch.Model, sk *depgraph.Skeleton, descs []uarch.Desc, s *Scratch, ar *ResultArena) (*Result, error) {
 	if err := b.Validate(); err != nil {
 		return nil, err
 	}
@@ -77,6 +88,6 @@ func (a *Analyzer) analyzeCompiled(b *isa.Block, m *uarch.Model, sk *depgraph.Sk
 			return nil, err
 		}
 	}
-	g := sk.Instantiate(b, m, descs, a.Opt, &s.dg)
-	return finishResult(b, m, g, s, ar)
+	g := sk.Instantiate(b, m, descs, a.Opt, &ar.s.dg)
+	return finishResult(b, m, g, ar), nil
 }

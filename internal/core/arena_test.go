@@ -10,7 +10,7 @@ import (
 
 // TestAnalyzeCompiledMatchesAnalyze pins the compiled path's equivalence
 // contract suite-wide: analyses assembled from a prebuilt skeleton and
-// descriptor table render the same report bytes as the direct path, both
+// descriptor table render the same report bytes as Analyze, both
 // through the escaping entry (AnalyzeCompiled) and the arena entry
 // (AnalyzeArena) — including one arena reused across blocks and models,
 // which is exactly how the pipeline's internal path drives it.

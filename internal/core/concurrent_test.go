@@ -1,11 +1,13 @@
 package core_test
 
-// Race coverage for the pooled analyzer scratch: many goroutines
+// Race coverage for the pooled analyzer arenas: many goroutines
 // analyzing different blocks at once must each get exactly the result a
 // serial run produces — pooled arenas may never leak one analysis's
-// state into another. Run under -race by the CI test job.
+// state into another, and a returned Result must share no memory with
+// the arena it was copied out of. Run under -race by the CI test job.
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"sync"
@@ -42,12 +44,16 @@ func TestConcurrentAnalyzeMatchesSerial(t *testing.T) {
 	an := core.New()
 
 	want := make([]*core.Result, len(blocks))
+	wantBytes := make([][]byte, len(blocks))
 	for i := range blocks {
 		r, err := an.Analyze(blocks[i], models[i])
 		if err != nil {
 			t.Fatal(err)
 		}
 		want[i] = r
+		if wantBytes[i], err = r.MarshalStable(); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	const workers = 8
@@ -81,5 +87,28 @@ func TestConcurrentAnalyzeMatchesSerial(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+
+	// A Result still aliasing a pooled arena would stay DeepEqual to its
+	// concurrent twins while the arena is rewritten under both; its
+	// encoded bytes, taken before the concurrent phase, would not.
+	for i, r := range want {
+		got, err := r.MarshalStable()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, wantBytes[i]) {
+			t.Errorf("block %s/%s: serial result changed during concurrent analyses",
+				models[i].Key, blocks[i].Name)
+		}
+	}
+
+	// Per-instruction port loads share one flat matrix; each row must be
+	// capacity-capped so appending to one never writes into the next.
+	r := want[0]
+	next := append([]float64(nil), r.Instrs[1].PortLoads...)
+	_ = append(r.Instrs[0].PortLoads, 42)
+	if !reflect.DeepEqual(r.Instrs[1].PortLoads, next) {
+		t.Error("appending to Instrs[0].PortLoads changed Instrs[1].PortLoads")
 	}
 }

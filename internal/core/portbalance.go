@@ -27,8 +27,7 @@ type balanceJob struct {
 // candidate sets. The number of distinct candidate sets in a real machine
 // model is small, so enumerating all unions is cheap and exact.
 func OptimalPortBound(jobs []balanceJob, nPorts int) float64 {
-	s := scratchPool.Get().(*Scratch)
-	defer scratchPool.Put(s)
+	var s Scratch
 	return s.optimalBound(jobs, nPorts)
 }
 
@@ -114,12 +113,8 @@ func (s *Scratch) optimalBound(jobs []balanceJob, nPorts int) float64 {
 // load vector. It is used for the per-port pressure *report*; the bound
 // itself comes from OptimalPortBound. nPorts caps the port index range.
 func HeuristicAssignment(jobs []balanceJob, nPorts int) []float64 {
-	s := scratchPool.Get().(*Scratch)
-	defer scratchPool.Put(s)
-	loads := s.heuristicInto(jobs, nPorts)
-	out := make([]float64, len(loads))
-	copy(out, loads)
-	return out
+	var s Scratch
+	return s.heuristicInto(jobs, nPorts)
 }
 
 // heuristicInto is HeuristicAssignment on this scratch's arenas; the
@@ -201,8 +196,7 @@ func (s *Scratch) heuristicInto(jobs []balanceJob, nPorts int) []float64 {
 // achieves and is exposed for the ablation study of the port-balancing
 // design choice (DESIGN.md #1).
 func GreedyPortBound(jobs []balanceJob, nPorts int) float64 {
-	s := scratchPool.Get().(*Scratch)
-	defer scratchPool.Put(s)
+	var s Scratch
 	return s.greedyBound(jobs, nPorts)
 }
 

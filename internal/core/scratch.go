@@ -1,23 +1,15 @@
 package core
 
 import (
-	"sync"
-
 	"incore/internal/depgraph"
 	"incore/internal/uarch"
 )
 
-// Scratch holds every reusable buffer one analysis needs — the dependency
-// graph arenas plus the port-balancer's flat job/share/load arrays — so a
-// steady stream of analyses does O(1) heap work after warmup: only the
-// returned Result (which escapes into caches and reports) is freshly
-// allocated.
-//
-// The zero value is ready to use. A Scratch serves one goroutine at a
-// time; Analyzer.Analyze draws from an internal sync.Pool, which is what
-// makes concurrent callers (pipeline jobs, /v1/analyze and /v1/batch
-// requests) share scratch safely. Results never alias scratch memory, so
-// recycling a Scratch cannot corrupt previously returned analyses.
+// Scratch holds every reusable working buffer one analysis needs — the
+// dependency graph arenas plus the port-balancer's flat job/share/load
+// arrays — so a steady stream of analyses does O(1) heap work after
+// warmup. Each ResultArena embeds one; the zero value is ready to use,
+// and a Scratch serves one goroutine at a time.
 type Scratch struct {
 	dg depgraph.Scratch
 
@@ -44,8 +36,6 @@ type Scratch struct {
 	seen  []uint32
 	epoch uint32
 }
-
-var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 
 // grow returns s resized to length n, preserving existing contents (and
 // backing capacity) wherever possible; callers reinitialize the prefix

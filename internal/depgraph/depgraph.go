@@ -136,6 +136,8 @@ type Scratch struct {
 	graph    Graph
 	interner isa.RegInterner
 	effects  isa.EffectsArena
+	effs     []isa.Effects
+	descs    []uarch.Desc
 	nodes    []Node
 	edges    []Edge
 	skel     []skelEdge
@@ -173,53 +175,58 @@ type Graph struct {
 }
 
 // New builds the dependency graph. Every instruction must resolve against
-// the model.
+// the model, and the model's dialect must match the block's.
 func New(b *isa.Block, m *uarch.Model, opt Options) (*Graph, error) {
 	return NewScratch(b, m, opt, nil)
 }
 
 // NewScratch is New with the graph's internal storage carved out of s's
-// reusable arenas (a nil s uses fresh ones). The returned graph and its
-// nodes/edges are only valid until s is next passed to NewScratch.
+// reusable arenas (a nil s uses fresh ones). It is the skeleton, the
+// descriptor resolution and the instantiation of the artifact path, all
+// written into s. The returned graph and its nodes/edges are only valid
+// until s is next passed to NewScratch.
 func NewScratch(b *isa.Block, m *uarch.Model, opt Options, s *Scratch) (*Graph, error) {
 	if s == nil {
 		s = &Scratch{}
 	}
+	sk := buildSkeleton(b, opt, s)
+	descs, err := sk.appendDescs(s.descs[:0], m, opt.DegradeUnknown)
+	if err != nil {
+		return nil, err
+	}
+	s.descs = descs
+	return sk.Instantiate(b, m, descs, opt, s), nil
+}
+
+// buildSkeleton writes b's skeleton into s — effects under the block's
+// own dialect, the deduped edge structure, and the outgoing-edge
+// adjacency — and returns it. The skeleton's slices are s's arenas, valid
+// until s's next use; NewSkeleton copies them out.
+func buildSkeleton(b *isa.Block, opt Options, s *Scratch) Skeleton {
 	s.interner.Reset()
 	s.effects.Reset()
-	g := &s.graph
-	*g = Graph{Block: b, Model: m, scr: s}
 	n := len(b.Instrs)
-	s.nodes = growOuter(s.nodes, n)
-	g.Nodes = s.nodes
+	s.effs = growOuter(s.effs, n)
 	for i := range b.Instrs {
-		in := &b.Instrs[i]
-		eff := isa.InstrEffectsArena(in, m.Dialect, &s.effects)
-		var d uarch.Desc
-		if opt.DegradeUnknown {
-			d = m.LookupEffDegraded(in, &eff)
-		} else {
-			var err error
-			d, err = m.LookupEff(in, &eff)
-			if err != nil {
-				return nil, fmt.Errorf("depgraph: block %s: instr %d (%s): %w", b.Name, i, in.Mnemonic, err)
-			}
-		}
-		g.Nodes[i] = Node{Index: i, Desc: d, Eff: eff}
+		s.effs[i] = isa.InstrEffectsArena(&b.Instrs[i], b.Dialect, &s.effects)
 	}
-	skel := buildStructure(b, m.Dialect, g.Nodes, opt, s)
-	g.Edges = fillEdges(s.edges[:0], skel, g.Nodes, m.LoadLat, opt)
-	s.edges = g.Edges
+	edges := buildStructure(b, s.effs, opt, s)
 	s.out = growOuter(s.out, n)
 	for i := range s.out {
 		s.out[i] = s.out[i][:0]
 	}
-	g.out = s.out[:n]
-	for ei := range g.Edges {
-		e := &g.Edges[ei]
-		g.out[e.From] = append(g.out[e.From], ei)
+	for ei := range edges {
+		f := edges[ei].from
+		s.out[f] = append(s.out[f], ei)
 	}
-	return g, nil
+	return Skeleton{
+		block:     b,
+		falseDeps: opt.IncludeFalseDeps,
+		memWindow: opt.MemCarriedWindow,
+		effs:      s.effs,
+		edges:     edges,
+		out:       s.out,
+	}
 }
 
 // accumulatorKey returns the register a fused multiply-add reads as its
@@ -261,11 +268,8 @@ func accumulatorKey(in *isa.Instruction, d isa.Dialect) (isa.RegKey, bool) {
 // reads a uarch.Desc — structure depends only on block content, dialect,
 // and the structural options — which is what lets a Skeleton cache it
 // across models; latencies are filled per model by fillEdges.
-//
-// Only Eff is read from nodes, so structural-only callers (NewSkeleton)
-// may pass nodes with zero Descs.
-func buildStructure(b *isa.Block, d isa.Dialect, nodes []Node, opt Options, s *Scratch) []skelEdge {
-	n := len(nodes)
+func buildStructure(b *isa.Block, effs []isa.Effects, opt Options, s *Scratch) []skelEdge {
+	n := len(effs)
 	s.skel = s.skel[:0]
 	// lastWriter[id] = index of the most recent writer of the register
 	// with that interned ID in program order; simulate two consecutive
@@ -274,9 +278,9 @@ func buildStructure(b *isa.Block, d isa.Dialect, nodes []Node, opt Options, s *S
 	// to dense-ID slices, so per-register tracking is slice indexing.
 	s.readIDs = growOuter(s.readIDs, n)
 	s.writeIDs = growOuter(s.writeIDs, n)
-	for i := range nodes {
-		s.readIDs[i] = s.interner.InternAll(s.readIDs[i][:0], nodes[i].Eff.Reads)
-		s.writeIDs[i] = s.interner.InternAll(s.writeIDs[i][:0], nodes[i].Eff.Writes)
+	for i := range effs {
+		s.readIDs[i] = s.interner.InternAll(s.readIDs[i][:0], effs[i].Reads)
+		s.writeIDs[i] = s.interner.InternAll(s.writeIDs[i][:0], effs[i].Writes)
 	}
 	nRegs := s.interner.Len()
 	s.lastWriter = growOuter(s.lastWriter, nRegs)
@@ -302,7 +306,7 @@ func buildStructure(b *isa.Block, d isa.Dialect, nodes []Node, opt Options, s *S
 			return
 		}
 		consumer := &b.Instrs[to.idx]
-		acc, isAcc := accumulatorKey(consumer, d)
+		acc, isAcc := accumulatorKey(consumer, b.Dialect)
 		s.skel = append(s.skel, skelEdge{
 			from: int32(from.idx), to: int32(to.idx), kind: EdgeRAW, carried: carried,
 			reg: key, viaAcc: isAcc && acc == key,
@@ -311,9 +315,9 @@ func buildStructure(b *isa.Block, d isa.Dialect, nodes []Node, opt Options, s *S
 
 	for iter := 0; iter < 2; iter++ {
 		for i := 0; i < n; i++ {
-			node := &nodes[i]
+			eff := &effs[i]
 			cur := regAccess{idx: i, iter: iter}
-			for ri, r := range node.Eff.Reads {
+			for ri, r := range eff.Reads {
 				id := s.readIDs[i][ri]
 				if w := lastWriter[id]; w.idx >= 0 {
 					if !(w.iter == iter && w.idx == i) {
@@ -322,7 +326,7 @@ func buildStructure(b *isa.Block, d isa.Dialect, nodes []Node, opt Options, s *S
 				}
 				lastReaders[id] = append(lastReaders[id], cur)
 			}
-			for wi, w := range node.Eff.Writes {
+			for wi, w := range eff.Writes {
 				id := s.writeIDs[i][wi]
 				if opt.IncludeFalseDeps {
 					if pw := lastWriter[id]; pw.idx >= 0 && !(pw.iter == 1 && iter == 1) && pw.iter <= iter {
@@ -352,7 +356,7 @@ func buildStructure(b *isa.Block, d isa.Dialect, nodes []Node, opt Options, s *S
 		}
 	}
 	s.skel = dedupeStructure(s.skel, s)
-	buildMemStructure(nodes, opt, s)
+	buildMemStructure(effs, opt, s)
 	return s.skel
 }
 
@@ -397,7 +401,7 @@ func chainLat(d *uarch.Desc) float64 {
 // re-reads a stored location only if S - L > 0 (the store runs ahead of
 // the load in address space); equal displacements alias within one
 // iteration when the store precedes the load in program order.
-func buildMemStructure(nodes []Node, opt Options, s *Scratch) {
+func buildMemStructure(effs []isa.Effects, opt Options, s *Scratch) {
 	if opt.MemCarriedWindow == 0 {
 		return
 	}
@@ -417,10 +421,10 @@ func buildMemStructure(nodes []Node, opt Options, s *Scratch) {
 		}
 		return true
 	}
-	for si := range nodes {
-		for _, st := range nodes[si].Eff.StoreOps {
-			for li := range nodes {
-				for _, ld := range nodes[li].Eff.LoadOps {
+	for si := range effs {
+		for _, st := range effs[si].StoreOps {
+			for li := range effs {
+				for _, ld := range effs[li].LoadOps {
 					if !sameStream(st, ld) {
 						continue
 					}

@@ -15,14 +15,13 @@ import (
 // filling edge latencies (Instantiate) — no effect extraction, no register
 // interning, no two-iteration walk, no dedupe map.
 //
-// A Skeleton is immutable after NewSkeleton and safe to share across
-// goroutines and models. It retains its source block (pinning the MemOp
-// pointers the effects reference), so cached skeletons keep their blocks
-// alive — intended for the process-lifetime artifact cache in
-// internal/pipeline.
+// A Skeleton from NewSkeleton is immutable, holds exact-size copies of
+// its slices (it pins no Scratch), and is safe to share across goroutines
+// and models. It retains its source block (pinning the MemOp pointers the
+// effects reference), so cached skeletons keep their blocks alive —
+// intended for the process-lifetime artifact cache in internal/pipeline.
 type Skeleton struct {
-	block   *isa.Block
-	dialect isa.Dialect
+	block *isa.Block
 	// Structural options the edge list was built under; Instantiate
 	// callers must pass options agreeing on these fields.
 	falseDeps bool
@@ -43,28 +42,50 @@ func NewSkeleton(b *isa.Block, opt Options) (*Skeleton, error) {
 	if err := b.Validate(); err != nil {
 		return nil, err
 	}
-	n := len(b.Instrs)
-	sk := &Skeleton{
-		block:     b,
-		dialect:   b.Dialect,
-		falseDeps: opt.IncludeFalseDeps,
-		memWindow: opt.MemCarriedWindow,
-		effs:      make([]isa.Effects, n),
+	var s Scratch
+	sk := buildSkeleton(b, opt, &s)
+	return sk.clone(), nil
+}
+
+// clone copies sk out of its scratch arenas into exact-size slices.
+func (sk *Skeleton) clone() *Skeleton {
+	c := *sk
+	var nRegs, nMems int
+	for i := range sk.effs {
+		e := &sk.effs[i]
+		nRegs += len(e.Reads) + len(e.Writes)
+		nMems += len(e.LoadOps) + len(e.StoreOps)
 	}
-	nodes := make([]Node, n)
-	for i := range b.Instrs {
-		sk.effs[i] = isa.InstrEffects(&b.Instrs[i], b.Dialect)
-		nodes[i] = Node{Index: i, Eff: sk.effs[i]}
+	regs := make([]isa.RegKey, 0, nRegs)
+	mems := make([]*isa.MemOp, 0, nMems)
+	c.effs = make([]isa.Effects, len(sk.effs))
+	for i := range sk.effs {
+		e := &sk.effs[i]
+		c.effs[i] = isa.Effects{
+			Reads:    carve(&regs, e.Reads),
+			Writes:   carve(&regs, e.Writes),
+			LoadOps:  carve(&mems, e.LoadOps),
+			StoreOps: carve(&mems, e.StoreOps),
+		}
 	}
-	s := &Scratch{}
-	skel := buildStructure(b, b.Dialect, nodes, opt, s)
-	sk.edges = append([]skelEdge(nil), skel...)
-	sk.out = make([][]int, n)
-	for ei := range sk.edges {
-		f := sk.edges[ei].from
-		sk.out[f] = append(sk.out[f], ei)
+	c.edges = append([]skelEdge(nil), sk.edges...)
+	flat := make([]int, 0, len(sk.edges))
+	c.out = make([][]int, len(sk.out))
+	for i, o := range sk.out {
+		c.out[i] = carve(&flat, o)
 	}
-	return sk, nil
+	return &c
+}
+
+// carve appends src to *buf, whose capacity the caller sized for every
+// carve, and returns the appended span (nil when src is empty).
+func carve[T any](buf *[]T, src []T) []T {
+	if len(src) == 0 {
+		return nil
+	}
+	n := len(*buf)
+	*buf = append(*buf, src...)
+	return (*buf)[n:len(*buf):len(*buf)]
 }
 
 // Block returns the block the skeleton was built from.
@@ -78,40 +99,44 @@ func (sk *Skeleton) Matches(opt Options) bool {
 
 // ResolveDescs resolves every instruction's descriptor against one model —
 // the per-(block, model) half of graph construction that Instantiate
-// consumes. The returned slice is freshly allocated, treated as immutable,
-// and safe to cache and share across goroutines; error text matches what
-// NewScratch reports for the same lookup failure.
+// consumes, and the one place a block meets a model: a model of another
+// dialect than the block's is an error. The returned slice is freshly
+// allocated, treated as immutable, and safe to cache and share across
+// goroutines.
 func (sk *Skeleton) ResolveDescs(m *uarch.Model, degrade bool) ([]uarch.Desc, error) {
+	return sk.appendDescs(make([]uarch.Desc, 0, len(sk.effs)), m, degrade)
+}
+
+// appendDescs is ResolveDescs appending to dst.
+func (sk *Skeleton) appendDescs(dst []uarch.Desc, m *uarch.Model, degrade bool) ([]uarch.Desc, error) {
 	b := sk.block
-	descs := make([]uarch.Desc, len(b.Instrs))
+	if b.Dialect != m.Dialect {
+		return nil, fmt.Errorf("depgraph: block %s is %s, model %s is %s", b.Name, b.Dialect, m.Key, m.Dialect)
+	}
 	for i := range b.Instrs {
 		in := &b.Instrs[i]
 		eff := sk.effs[i]
 		if degrade {
-			descs[i] = m.LookupEffDegraded(in, &eff)
+			dst = append(dst, m.LookupEffDegraded(in, &eff))
 			continue
 		}
 		d, err := m.LookupEff(in, &eff)
 		if err != nil {
 			return nil, fmt.Errorf("depgraph: block %s: instr %d (%s): %w", b.Name, i, in.Mnemonic, err)
 		}
-		descs[i] = d
+		dst = append(dst, d)
 	}
-	return descs, nil
+	return dst, nil
 }
 
-// Instantiate materializes the skeleton against one model into s's arenas,
-// producing a graph identical to NewScratch(b, m, opt, s) — same nodes,
-// same edge order, same latencies. b must be content-identical to the
-// skeleton's source block (same instruction sequence and dialect), descs
-// must come from ResolveDescs against m (or a cache of it) with
-// opt.DegradeUnknown, and opt must satisfy Matches; the artifact keys in
-// internal/pipeline enforce all three. The graph is valid until s's next
-// use, like NewScratch.
+// Instantiate materializes the skeleton against one model into s's arenas
+// — same nodes, same edge order, same latencies whether sk is a cached
+// NewSkeleton or the one NewScratch just built. b must be content-identical
+// to the skeleton's source block, descs must come from ResolveDescs
+// against m (or a cache of it) with opt.DegradeUnknown, and opt must
+// satisfy Matches; the artifact keys in internal/pipeline enforce all
+// three. The graph is valid until s's next use, like NewScratch.
 func (sk *Skeleton) Instantiate(b *isa.Block, m *uarch.Model, descs []uarch.Desc, opt Options, s *Scratch) *Graph {
-	if s == nil {
-		s = &Scratch{}
-	}
 	g := &s.graph
 	*g = Graph{Block: b, Model: m, scr: s}
 	n := len(sk.effs)

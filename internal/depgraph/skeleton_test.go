@@ -8,8 +8,9 @@ import (
 	"incore/internal/uarch"
 )
 
-// graphsEqual asserts g2 (skeleton-instantiated) is structurally and
-// numerically identical to g1 (direct NewScratch build): same nodes in
+// graphsEqual asserts g2 (instantiated from a NewSkeleton copy) is
+// structurally and numerically identical to g1 (NewScratch, built on the
+// scratch's own skeleton): same nodes in
 // order, same edges in order with equal latencies, same derived paths.
 func graphsEqual(t *testing.T, label string, g1, g2 *Graph) {
 	t.Helper()
@@ -51,11 +52,12 @@ func graphsEqual(t *testing.T, label string, g1, g2 *Graph) {
 	}
 }
 
-// TestSkeletonInstantiateMatchesNewScratch is the equivalence contract the
-// compile-once analysis path rests on: for every suite kernel on every
-// built-in model, a skeleton-instantiated graph is identical to a direct
-// build — same edge order (byte-identity of downstream reports depends on
-// it), same latencies, same derived path metrics.
+// TestSkeletonInstantiateMatchesNewScratch is the contract the artifact
+// tier rests on: for every suite kernel on every built-in model, a graph
+// instantiated from a cached (copied-out) skeleton is identical to one
+// built on a fresh in-scratch skeleton — same edge order (byte-identity
+// of downstream reports depends on it), same latencies, same derived
+// path metrics.
 func TestSkeletonInstantiateMatchesNewScratch(t *testing.T) {
 	opts := []Options{
 		DefaultOptions(),

@@ -118,10 +118,11 @@ func TestLowerBoundProperty(t *testing.T) {
 			continue
 		}
 		m := uarch.MustGet(tb.Config.Arch)
-		pred, err := an.Predict(tb.Block, m)
+		res, err := an.Analyze(tb.Block, m)
 		if err != nil {
 			t.Fatalf("%s: %v", tb.Block.Name, err)
 		}
+		pred := res.Prediction
 		meas, err := sim.Run(tb.Block, m, sim.DefaultConfig(m))
 		if err != nil {
 			t.Fatalf("%s: %v", tb.Block.Name, err)

@@ -245,28 +245,30 @@ func blockSizeEstimate(b *isa.Block) int {
 	return size
 }
 
-// analysisSkeleton returns the process-cached dependency-structure
-// skeleton for (block content, structural options). The skeleton is
-// model-independent: every model of the block's dialect instantiates
-// graphs from the same entry.
-func analysisSkeleton(b *isa.Block, opt depgraph.Options) (*depgraph.Skeleton, error) {
+// analysisArtifacts returns the process-cached compiled inputs of one
+// analysis: the dependency-structure skeleton for (block content,
+// structural options), which every model of the block's dialect shares,
+// and the resolved-descriptor table for (block content, model port
+// signature, degrade policy). Descriptors are keyed by
+// Model.PortSignature: resolution reads only the signature-covered
+// subset, so node-only model variants share one table while a
+// mutated-and-reindexed port table still resolves its own.
+func analysisArtifacts(b *isa.Block, m *uarch.Model, opt depgraph.Options) (*depgraph.Skeleton, []uarch.Desc, error) {
+	bk := BlockKey(b)
 	key := "skel\x00falsedeps=" + strconv.FormatBool(opt.IncludeFalseDeps) +
-		"|memwin=" + strconv.FormatInt(opt.MemCarriedWindow, 10) + "\x00" + BlockKey(b)
-	return doArtifact(artifacts, kindSkeleton, key, (*depgraph.Skeleton).SizeEstimate,
+		"|memwin=" + strconv.FormatInt(opt.MemCarriedWindow, 10) + "\x00" + bk
+	sk, err := doArtifact(artifacts, kindSkeleton, key, (*depgraph.Skeleton).SizeEstimate,
 		func() (*depgraph.Skeleton, error) { return depgraph.NewSkeleton(b, opt) })
-}
-
-// analysisDescs returns the process-cached resolved-descriptor table for
-// (block content, model port signature, degrade policy) — the per-model
-// half of graph construction. Keyed by Model.PortSignature: descriptor
-// resolution reads only the signature-covered subset, so node-only model
-// variants share one table while a mutated-and-reindexed port table still
-// resolves its own.
-func analysisDescs(b *isa.Block, m *uarch.Model, sk *depgraph.Skeleton, opt depgraph.Options) ([]uarch.Desc, error) {
-	key := "descs\x00" + m.PortSignature() + "\x00degrade=" + strconv.FormatBool(opt.DegradeUnknown) +
-		"\x00" + BlockKey(b)
-	return doArtifact(artifacts, kindDescs, key, descsSizeEstimate,
+	if err != nil {
+		return nil, nil, err
+	}
+	key = "descs\x00" + m.PortSignature() + "\x00degrade=" + strconv.FormatBool(opt.DegradeUnknown) + "\x00" + bk
+	descs, err := doArtifact(artifacts, kindDescs, key, descsSizeEstimate,
 		func() ([]uarch.Desc, error) { return sk.ResolveDescs(m, opt.DegradeUnknown) })
+	if err != nil {
+		return nil, nil, err
+	}
+	return sk, descs, nil
 }
 
 // descsSizeEstimate roughly approximates a descriptor table's retained
@@ -294,18 +296,12 @@ func compiledMCA(b *isa.Block, m *uarch.Model) (*mca.Compiled, error) {
 // analyzeCold is the compute path behind AnalyzeWarm's memo entry: it
 // assembles the analysis from cached artifacts (skeleton + descriptor
 // table) so a memo-cold analysis of a known block skips effect extraction
-// and graph structure discovery. Byte-identical to an.Analyze by the
-// Skeleton.Instantiate contract (pinned by tests and the repro CI gate);
-// the rare dialect-mismatched pairing falls back to the direct path.
+// and graph structure discovery, then copies the Result out of a pooled
+// arena (core.Analyzer.AnalyzeCompiled). A model of another dialect than
+// the block's fails at descriptor resolution, and that error is cached
+// like any other.
 func analyzeCold(an *core.Analyzer, b *isa.Block, m *uarch.Model) (*core.Result, error) {
-	if b.Dialect != m.Dialect {
-		return an.Analyze(b, m)
-	}
-	sk, err := analysisSkeleton(b, an.Opt)
-	if err != nil {
-		return nil, err
-	}
-	descs, err := analysisDescs(b, m, sk, an.Opt)
+	sk, descs, err := analysisArtifacts(b, m, an.Opt)
 	if err != nil {
 		return nil, err
 	}
@@ -336,17 +332,10 @@ type InternalArena struct {
 // Analyze for results that escape. Numerically and textually identical to
 // Analyze for the same inputs.
 func AnalyzeInternal(an *core.Analyzer, b *isa.Block, m *uarch.Model, ar *InternalArena) (*core.Result, error) {
-	if b.Dialect != m.Dialect {
-		return an.Analyze(b, m)
-	}
 	opt := an.Opt
 	if ar.sk == nil || ar.lastBlock != b || ar.lastModel != m ||
 		ar.lastFP != m.Fingerprint() || ar.lastOpt != opt {
-		sk, err := analysisSkeleton(b, opt)
-		if err != nil {
-			return nil, err
-		}
-		descs, err := analysisDescs(b, m, sk, opt)
+		sk, descs, err := analysisArtifacts(b, m, opt)
 		if err != nil {
 			return nil, err
 		}

@@ -3,10 +3,12 @@ package pipeline
 import (
 	"bytes"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
 	"incore/internal/core"
+	"incore/internal/depgraph"
 	"incore/internal/kernels"
 	"incore/internal/sim"
 	"incore/internal/uarch"
@@ -312,4 +314,29 @@ func BenchmarkAnalyzeInternal(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// TestDialectMismatchRejected: an x86 block analyzed against an AArch64
+// model must fail on every entry point with an error naming the block's
+// dialect and the model, instead of running x86 operands through AArch64
+// effect rules.
+func TestDialectMismatchRejected(t *testing.T) {
+	_, an, tb := genBlock(t, "goldencove", "striad")
+	m := uarch.MustGet("neoversev2")
+	check := func(name string, err error) {
+		t.Helper()
+		if err == nil {
+			t.Errorf("%s: x86 block on neoversev2 succeeded; want a dialect error", name)
+			return
+		}
+		if msg := err.Error(); !strings.Contains(msg, "x86") || !strings.Contains(msg, "neoversev2") {
+			t.Errorf("%s: error %q does not name the block's dialect and the model", name, msg)
+		}
+	}
+	_, err := an.Analyze(tb.Block, m)
+	check("core.Analyze", err)
+	_, err = depgraph.New(tb.Block, m, an.Opt)
+	check("depgraph.New", err)
+	_, _, err = AnalyzeWarm(an, tb.Block, m)
+	check("pipeline.AnalyzeWarm", err)
 }

@@ -58,10 +58,10 @@ func simConfigKey(cfg sim.Config) string {
 // scenario that happens to share its name. The same rule applies to
 // Simulate, MCAPredict, and MeasureInstr below.
 //
-// Cold computations draw analysis scratch from core's internal
-// sync.Pool, so concurrent pipeline jobs (and the serve tier routing
-// through this function) share arenas safely; the memoized Result never
-// aliases pooled memory.
+// Cold computations run on core's pooled result arenas, so concurrent
+// pipeline jobs (and the serve tier routing through this function) share
+// arenas safely; the memoized Result is a copy that never aliases pooled
+// memory.
 func Analyze(an *core.Analyzer, b *isa.Block, m *uarch.Model) (*core.Result, error) {
 	res, _, err := AnalyzeWarm(an, b, m)
 	return res, err
