@@ -28,6 +28,7 @@ import (
 	"incore/internal/core"
 	"incore/internal/isa"
 	"incore/internal/kernels"
+	"incore/internal/memsim"
 	"incore/internal/pipeline"
 	"incore/internal/serve"
 	"incore/internal/sim"
@@ -199,7 +200,7 @@ func suite() map[string]func(b *testing.B) {
 		}
 	}
 	glcPortValue := float64(uarch.MustGet("goldencove").LoadPorts.Count() - 1)
-	return map[string]func(b *testing.B){
+	benches := map[string]func(b *testing.B){
 		"SimRun/goldencove/striad":                simBench(striadGLC, "goldencove"),
 		"SimRun/neoversev2/j3d27":                 simBench(j3d27V2, "neoversev2"),
 		"SimRun/zen4/pi":                          simBench(piZen4, "zen4"),
@@ -219,6 +220,56 @@ func suite() map[string]func(b *testing.B) {
 		"SweepVariantWarm/goldencove/striad":      variantBench(striadGLC, "goldencove", "mem_bandwidth_gbs", 123, 0),
 		"SweepVariantWarm/zen4/pi":                variantBench(piZen4, "zen4", "tdp_watts", 123, 0),
 		"SweepVariantPortDelta/goldencove/striad": variantBench(striadGLC, "goldencove", "load_ports", glcPortValue, 1),
+		"CacheInsert":                             cacheInsertBench(),
+	}
+	for _, key := range []string{"neoversev2", "goldencove", "zen4"} {
+		benches["MemsimStoreStream/"+key] = memsimBench(key, func(s *memsim.System, cores int) (memsim.TrafficResult, error) {
+			return s.RunStoreStream(cores, memsimLinesPerCore, false)
+		})
+		benches["MemsimTriad/"+key] = memsimBench(key, func(s *memsim.System, cores int) (memsim.TrafficResult, error) {
+			return s.RunTriad(cores, memsimLinesPerCore, key != "neoversev2")
+		})
+	}
+	return benches
+}
+
+// memsimLinesPerCore sizes the memsim rows: far above the scaled L2, and
+// small enough that one full-socket run takes milliseconds.
+const memsimLinesPerCore = 1024
+
+// memsimBench runs one full-socket workload per iteration on a single
+// System reused across iterations — the steady state of a Fig. 4 curve or
+// a Table I sweep. One warmup run sizes the controller queues first, so
+// the measured loop allocates neither queue growth nor caches.
+func memsimBench(key string, run func(s *memsim.System, cores int) (memsim.TrafficResult, error)) func(b *testing.B) {
+	cfg := memsim.MustConfigFor(key)
+	s, err := memsim.NewSystem(cfg)
+	if err != nil {
+		panic(err)
+	}
+	if _, err := run(s, cfg.Cores); err != nil {
+		panic(err)
+	}
+	return func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := run(s, cfg.Cores); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// cacheInsertBench measures one Cache.Insert into a full set — the
+// victim-selecting path every streaming miss takes — on Golden Cove's
+// scaled L2 geometry.
+func cacheInsertBench() func(b *testing.B) {
+	c := memsim.NewCache(memsim.MustConfigFor("goldencove").L2)
+	return func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			c.Insert(memsim.LineAddr(i), i&1 == 0)
+		}
 	}
 }
 

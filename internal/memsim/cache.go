@@ -39,52 +39,64 @@ func (c CacheConfig) Sets() int {
 	return int(s)
 }
 
-type cacheLine struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	// lru is a per-set sequence number; larger = more recently used.
-	lru uint64
-}
-
-// Cache is a set-associative write-back cache with LRU replacement.
+// Cache is a set-associative write-back cache with LRU replacement. Its
+// state is three flat arrays indexed set*ways+way, so the ways of a set
+// are contiguous and a probe touches one short run of memory.
 type Cache struct {
 	cfg   CacheConfig
-	sets  [][]cacheLine
 	nsets uint64
 	clock uint64
+	// tags holds tag+1 per way; 0 marks an invalid way.
+	tags []uint64
+	// lru is a per-cache sequence number per way; larger = more
+	// recently used.
+	lru   []uint64
+	dirty []bool
 
 	// Stats.
-	Hits, Misses  int64
-	Evictions     int64
-	DirtyEvictons int64
+	Hits, Misses   int64
+	Evictions      int64
+	DirtyEvictions int64
 }
 
 // NewCache builds an empty cache.
 func NewCache(cfg CacheConfig) *Cache {
-	n := cfg.Sets()
-	sets := make([][]cacheLine, n)
-	backing := make([]cacheLine, n*cfg.Ways)
-	for i := range sets {
-		sets[i] = backing[i*cfg.Ways : (i+1)*cfg.Ways]
+	n := cfg.Sets() * cfg.Ways
+	return &Cache{
+		cfg:   cfg,
+		nsets: uint64(cfg.Sets()),
+		tags:  make([]uint64, n),
+		lru:   make([]uint64, n),
+		dirty: make([]bool, n),
 	}
-	return &Cache{cfg: cfg, sets: sets, nsets: uint64(n)}
 }
 
-func (c *Cache) setIndex(a LineAddr) uint64 { return uint64(a) % c.nsets }
-func (c *Cache) tag(a LineAddr) uint64      { return uint64(a) / c.nsets }
+// reset empties the cache in place.
+func (c *Cache) reset() {
+	clear(c.tags)
+	clear(c.lru)
+	clear(c.dirty)
+	c.clock = 0
+	c.Hits, c.Misses, c.Evictions, c.DirtyEvictions = 0, 0, 0, 0
+}
+
+// locate returns the set index of a line and the tag+1 it is stored as.
+func (c *Cache) locate(a LineAddr) (set, key uint64) {
+	q := uint64(a) / c.nsets
+	return uint64(a) - q*c.nsets, q + 1
+}
 
 // Lookup probes the cache; on a hit it updates LRU state and, for writes,
 // the dirty bit.
 func (c *Cache) Lookup(a LineAddr, write bool) bool {
-	set := c.sets[c.setIndex(a)]
-	tag := c.tag(a)
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
+	set, key := c.locate(a)
+	base := int(set) * c.cfg.Ways
+	for i, t := range c.tags[base : base+c.cfg.Ways] {
+		if t == key {
 			c.clock++
-			set[i].lru = c.clock
+			c.lru[base+i] = c.clock
 			if write {
-				set[i].dirty = true
+				c.dirty[base+i] = true
 			}
 			c.Hits++
 			return true
@@ -96,59 +108,58 @@ func (c *Cache) Lookup(a LineAddr, write bool) bool {
 
 // Insert allocates a line (marking it dirty for writes) and returns the
 // evicted victim, if any. evictedDirty reports whether the victim needs a
-// writeback.
+// writeback. One scan of the set picks the way: the first invalid way,
+// or else the lowest-index way with the smallest LRU stamp.
 func (c *Cache) Insert(a LineAddr, dirty bool) (victim LineAddr, evicted, evictedDirty bool) {
-	si := c.setIndex(a)
-	set := c.sets[si]
-	tag := c.tag(a)
+	set, key := c.locate(a)
+	base := int(set) * c.cfg.Ways
+	tags := c.tags[base : base+c.cfg.Ways]
+	lru := c.lru[base : base+c.cfg.Ways]
 	c.clock++
-	// Prefer an invalid way.
-	for i := range set {
-		if !set[i].valid {
-			set[i] = cacheLine{tag: tag, valid: true, dirty: dirty, lru: c.clock}
+	v := 0
+	for i, t := range tags {
+		if t == 0 {
+			v = base + i
+			c.tags[v], c.lru[v], c.dirty[v] = key, c.clock, dirty
 			return 0, false, false
 		}
-	}
-	// Evict LRU.
-	v := 0
-	for i := 1; i < len(set); i++ {
-		if set[i].lru < set[v].lru {
+		if lru[i] < lru[v] {
 			v = i
 		}
 	}
-	victimAddr := LineAddr(set[v].tag*c.nsets + si)
-	wasDirty := set[v].dirty
-	set[v] = cacheLine{tag: tag, valid: true, dirty: dirty, lru: c.clock}
+	v += base
+	victimAddr := LineAddr((c.tags[v]-1)*c.nsets + set)
+	wasDirty := c.dirty[v]
+	c.tags[v], c.lru[v], c.dirty[v] = key, c.clock, dirty
 	c.Evictions++
 	if wasDirty {
-		c.DirtyEvictons++
+		c.DirtyEvictions++
 	}
 	return victimAddr, true, wasDirty
 }
 
 // Invalidate drops a line if present, returning whether it was dirty.
 func (c *Cache) Invalidate(a LineAddr) (present, dirty bool) {
-	set := c.sets[c.setIndex(a)]
-	tag := c.tag(a)
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			d := set[i].dirty
-			set[i] = cacheLine{}
+	set, key := c.locate(a)
+	base := int(set) * c.cfg.Ways
+	for i, t := range c.tags[base : base+c.cfg.Ways] {
+		if t == key {
+			w := base + i
+			d := c.dirty[w]
+			c.tags[w], c.lru[w], c.dirty[w] = 0, 0, false
 			return true, d
 		}
 	}
 	return false, false
 }
 
-// FlushDirty visits every dirty line, invokes fn, and marks it clean.
+// FlushDirty visits every dirty line in set order, invokes fn, and marks
+// it clean.
 func (c *Cache) FlushDirty(fn func(LineAddr)) {
-	for si := range c.sets {
-		for i := range c.sets[si] {
-			l := &c.sets[si][i]
-			if l.valid && l.dirty {
-				fn(LineAddr(l.tag*c.nsets + uint64(si)))
-				l.dirty = false
-			}
+	for w, t := range c.tags {
+		if t != 0 && c.dirty[w] {
+			fn(LineAddr((t-1)*c.nsets + uint64(w/c.cfg.Ways)))
+			c.dirty[w] = false
 		}
 	}
 }

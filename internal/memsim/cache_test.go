@@ -84,8 +84,8 @@ func TestCacheDirtyEviction(t *testing.T) {
 	if !evicted || !dirty {
 		t.Error("evicting a dirty line must report dirty")
 	}
-	if c.DirtyEvictons != 1 {
-		t.Errorf("DirtyEvictons = %d", c.DirtyEvictons)
+	if c.DirtyEvictions != 1 {
+		t.Errorf("DirtyEvictions = %d", c.DirtyEvictions)
 	}
 }
 

@@ -66,26 +66,58 @@ type request struct {
 type controller struct {
 	bytesPerTick float64
 	budget       float64
-	queue        []request
-	queuedBytes  int64
-	util         float64 // EMA of served/capacity
-	i2m          specI2MState
+	// queue is a FIFO ring: count requests starting at queue[head],
+	// wrapping at len(queue). It doubles when full and is never shrunk,
+	// so a reused controller stops allocating once it has seen its
+	// deepest queue.
+	queue       []request
+	head, count int
+	queuedBytes int64
+	util        float64 // EMA of served/capacity
+	i2m         specI2MState
 
 	ReadBytes, WriteBytes int64
 }
 
+// reset returns the controller to its freshly built state, keeping the
+// ring's backing array.
+func (c *controller) reset() {
+	i2m := c.i2m
+	i2m.acc = 0
+	*c = controller{bytesPerTick: c.bytesPerTick, queue: c.queue, i2m: i2m}
+}
+
 func (c *controller) enqueue(r request) {
-	c.queue = append(c.queue, r)
+	if c.count == len(c.queue) {
+		c.grow()
+	}
+	i := c.head + c.count
+	if i >= len(c.queue) {
+		i -= len(c.queue)
+	}
+	c.queue[i] = r
+	c.count++
 	c.queuedBytes += int64(r.bytes)
+}
+
+// grow doubles the ring, unwrapping it so the oldest request lands at 0.
+func (c *controller) grow() {
+	q := make([]request, max(64, 2*len(c.queue)))
+	n := copy(q, c.queue[c.head:])
+	copy(q[n:], c.queue[:c.head])
+	c.queue, c.head = q, 0
 }
 
 // serve advances one tick, returning per-core completed read counts.
 func (c *controller) serve(completed []int) {
 	c.budget += c.bytesPerTick
 	served := 0.0
-	for len(c.queue) > 0 && c.budget >= float64(c.queue[0].bytes) {
-		r := c.queue[0]
-		c.queue = c.queue[1:]
+	for c.count > 0 && c.budget >= float64(c.queue[c.head].bytes) {
+		r := c.queue[c.head]
+		if c.head++; c.head == len(c.queue) {
+			c.head = 0
+		}
+		c.count--
 		c.queuedBytes -= int64(r.bytes)
 		c.budget -= float64(r.bytes)
 		served += float64(r.bytes)
@@ -114,12 +146,10 @@ type simCore struct {
 	issueAcc    float64
 
 	// Workload cursor.
-	next, end LineAddr
-	strides   []workStream
-	cursor    int64
-	done      bool
+	strides []workStream
+	cursor  int64
+	done    bool
 
-	nt          bool
 	ntResidAcc  float64
 	storedBytes int64
 	loadedBytes int64
@@ -140,6 +170,8 @@ type System struct {
 	l3    []*Cache
 	ctrl  []*controller
 	ticks int64
+	// completed counts each core's reads served in the current tick.
+	completed []int
 }
 
 // NewSystem builds a system from a config.
@@ -150,7 +182,7 @@ func NewSystem(cfg Config) (*System, error) {
 	if cfg.LineBytes <= 0 {
 		cfg.LineBytes = 64
 	}
-	s := &System{cfg: cfg}
+	s := &System{cfg: cfg, completed: make([]int, cfg.Cores)}
 	for d := 0; d < cfg.Domains; d++ {
 		s.l3 = append(s.l3, NewCache(cfg.L3))
 		ctl := &controller{bytesPerTick: cfg.DomainGBs * TickSeconds * 1e9}
@@ -170,7 +202,7 @@ func NewSystem(cfg Config) (*System, error) {
 }
 
 // domainOf maps the i-th *active* core to its NUMA domain.
-func (s *System) domainOf(activeIdx, activeTotal int) int {
+func (s *System) domainOf(activeIdx int) int {
 	if s.cfg.Placement == PlacementCompact {
 		per := (s.cfg.Cores + s.cfg.Domains - 1) / s.cfg.Domains
 		return (activeIdx / per) % s.cfg.Domains
@@ -255,16 +287,15 @@ func (s *System) run(active, linesPerCore int, streams []workStream) (TrafficRes
 	regionLines := LineAddr(1 << (30 - lineShift))
 	act := s.cores[:active]
 	for i, c := range act {
-		c.domain = s.domainOf(i, active)
-		c.strides = make([]workStream, len(streams))
-		for j, st := range streams {
-			c.strides[j] = workStream{
+		c.domain = s.domainOf(i)
+		c.strides = c.strides[:0]
+		for _, st := range streams {
+			c.strides = append(c.strides, workStream{
 				base:  st.base/64 + LineAddr(i)*regionLines*8,
 				write: st.write,
 				nt:    st.nt,
-			}
+			})
 		}
-		c.cursor = 0
 		c.done = false
 	}
 
@@ -272,7 +303,7 @@ func (s *System) run(active, linesPerCore int, streams []workStream) (TrafficRes
 	// iterations/tick; each iteration touches len(streams) lines.
 	linesPerTickStored := s.cfg.CoreGBs * TickSeconds * 1e9 / float64(s.cfg.LineBytes)
 
-	completed := make([]int, s.cfg.Cores)
+	completed := s.completed
 	var res TrafficResult
 	res.ActiveCores = active
 
@@ -306,19 +337,19 @@ func (s *System) run(active, linesPerCore int, streams []workStream) (TrafficRes
 		if allDone && !flushed {
 			// Trailing writebacks: dirty lines still in the caches
 			// drain through the controllers like any other traffic.
+			var ctl *controller
+			core := 0
+			flush := func(LineAddr) {
+				ctl.enqueue(request{core: core, bytes: s.cfg.LineBytes})
+			}
 			for _, c := range act {
-				ctl := s.ctrl[c.domain]
-				flush := func(a LineAddr) {
-					ctl.enqueue(request{core: c.id, bytes: s.cfg.LineBytes})
-				}
+				ctl, core = s.ctrl[c.domain], c.id
 				c.l1.FlushDirty(flush)
 				c.l2.FlushDirty(flush)
 			}
 			for d, l3 := range s.l3 {
-				ctl := s.ctrl[d]
-				l3.FlushDirty(func(a LineAddr) {
-					ctl.enqueue(request{core: 0, bytes: s.cfg.LineBytes})
-				})
+				ctl, core = s.ctrl[d], 0
+				l3.FlushDirty(flush)
 			}
 			flushed = true
 		}
@@ -334,7 +365,7 @@ func (s *System) run(active, linesPerCore int, streams []workStream) (TrafficRes
 		if allDone && flushed {
 			empty := true
 			for _, ctl := range s.ctrl {
-				if len(ctl.queue) > 0 {
+				if ctl.count > 0 {
 					empty = false
 				}
 			}
@@ -459,36 +490,32 @@ func (s *System) insertL1(c *simCore, a LineAddr, dirty bool) {
 	if !e2 || !d2 {
 		return
 	}
-	v3, e3, d3 := s.l3[c.domain].Insert(v2, true)
-	if e3 && d3 {
+	if _, e3, d3 := s.l3[c.domain].Insert(v2, true); e3 && d3 {
 		s.ctrl[c.domain].enqueue(request{core: c.id, bytes: s.cfg.LineBytes, isRead: false})
-		_ = v3
 	}
 }
 
-// reset clears all state for a fresh run.
+// reset clears all state for a fresh run in place: caches are emptied
+// and controller rings keep their backing arrays, so nothing is
+// reallocated.
 func (s *System) reset() {
-	for i := range s.cores {
-		c := s.cores[i]
-		c.l1 = NewCache(s.cfg.L1)
-		c.l2 = NewCache(s.cfg.L2)
+	for _, c := range s.cores {
+		c.l1.reset()
+		c.l2.reset()
 		c.detector = streamDetector{TrainLen: s.cfg.DetectorTrainLen}
 		c.outstanding = 0
 		c.issueAcc = 0
 		c.cursor = 0
 		c.done = true
-		c.nt = false
 		c.ntResidAcc = 0
 		c.storedBytes = 0
 		c.loadedBytes = 0
 	}
 	for d := range s.l3 {
-		s.l3[d] = NewCache(s.cfg.L3)
-		s.ctrl[d] = &controller{
-			bytesPerTick: s.cfg.DomainGBs * TickSeconds * 1e9,
-			i2m:          specI2MState{Threshold: s.cfg.SpecI2MThreshold, MaxShare: s.cfg.SpecI2MMaxShare, RampEnd: s.cfg.SpecI2MRampEnd},
-		}
+		s.l3[d].reset()
+		s.ctrl[d].reset()
 	}
+	clear(s.completed)
 	s.ticks = 0
 }
 

@@ -194,23 +194,7 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
-func TestSystemReuse(t *testing.T) {
-	// Back-to-back runs on one system must be independent (reset).
-	s := sys(t, "zen4")
-	a, err := s.RunStoreStream(4, testLines, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := s.RunStoreStream(4, testLines, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.WARatio() != b.WARatio() {
-		t.Errorf("runs not reproducible: %.4f vs %.4f", a.WARatio(), b.WARatio())
-	}
-}
-
-func TestWACurveAndDefaultCounts(t *testing.T) {
+func TestDefaultCounts(t *testing.T) {
 	counts := DefaultCounts(52)
 	if counts[0] != 1 || counts[len(counts)-1] != 52 {
 		t.Errorf("DefaultCounts bounds: %v", counts)
@@ -220,12 +204,42 @@ func TestWACurveAndDefaultCounts(t *testing.T) {
 			t.Errorf("DefaultCounts not strictly increasing: %v", counts)
 		}
 	}
-	curve, err := WACurve("neoversev2", false, []int{1, 4})
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestSystemReuse runs different workloads back to back on
+// one System — SPR NT stores at 52 cores (the residual-RFO accumulator),
+// a full-socket standard store stream (whose trailing flush grows the
+// controller rings), a triad, and standard stores at 45 cores (where a
+// leftover SpecI2M accumulator changes the result) — and requires every
+// result to equal the same workload on a freshly built System, field
+// for field.
+func TestSystemReuse(t *testing.T) {
+	workloads := []struct {
+		name string
+		run  func(s *System) (TrafficResult, error)
+	}{
+		{"spr-nt-52", func(s *System) (TrafficResult, error) { return s.RunStoreStream(52, testLines, true) }},
+		{"store-full-socket", func(s *System) (TrafficResult, error) { return s.RunStoreStream(52, testLines, false) }},
+		{"triad-26", func(s *System) (TrafficResult, error) { return s.RunTriad(26, testLines/4, true) }},
+		{"speci2m-45", func(s *System) (TrafficResult, error) { return s.RunStoreStream(45, testLines/4, false) }},
 	}
-	if len(curve) != 2 {
-		t.Errorf("curve size = %d", len(curve))
+	fresh := make([]TrafficResult, len(workloads))
+	for i, w := range workloads {
+		r, err := w.run(sys(t, "goldencove"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh[i] = r
+	}
+	reused := sys(t, "goldencove")
+	for _, i := range []int{0, 1, 0, 2, 3, 3, 1, 2} {
+		r, err := workloads[i].run(reused)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r != fresh[i] {
+			t.Errorf("%s on a reused system: %+v, fresh %+v", workloads[i].name, r, fresh[i])
+		}
 	}
 }
 
@@ -257,5 +271,47 @@ func TestPlacementCompactVsScatter(t *testing.T) {
 	if !(compact13 < scatter13) {
 		t.Errorf("compact placement must engage SpecI2M earlier: compact %.3f vs scatter %.3f",
 			compact13, scatter13)
+	}
+}
+
+// TestControllerRingFIFO drives the controller's ring through
+// wrap-around and through a grow while head != 0: requests must leave in
+// exactly the order they entered.
+func TestControllerRingFIFO(t *testing.T) {
+	// Each request carries its sequence number as its core id; a tick
+	// serves exactly one 64-byte request.
+	c := &controller{bytesPerTick: 64}
+	const total = 64 + 40 + 10
+	completed := make([]int, total)
+	next, want := 0, 0
+	push := func(n int) {
+		for i := 0; i < n; i++ {
+			c.enqueue(request{core: next, bytes: 64, isRead: true})
+			next++
+		}
+	}
+	pop := func(n int) {
+		for i := 0; i < n; i++ {
+			c.serve(completed)
+			if completed[want] != 1 {
+				t.Fatalf("tick %d did not serve request %d (FIFO order broken): %v", want, want, completed)
+			}
+			completed[want] = 0
+			want++
+		}
+	}
+	push(64) // fills the initial ring
+	pop(40)  // head = 40
+	push(40) // wraps: the tail occupies slots 0..39
+	if c.head == 0 || c.count != len(c.queue) {
+		t.Fatalf("setup: head %d count %d len %d; want a full, wrapped ring", c.head, c.count, len(c.queue))
+	}
+	push(10) // grows while head != 0
+	if len(c.queue) != 128 || c.head != 0 {
+		t.Fatalf("after grow: len %d head %d; want 128, 0", len(c.queue), c.head)
+	}
+	pop(c.count)
+	if c.count != 0 || c.queuedBytes != 0 || want != total {
+		t.Errorf("drained ring: count %d queuedBytes %d, served %d of %d", c.count, c.queuedBytes, want, total)
 	}
 }

@@ -1,10 +1,13 @@
 package pipeline
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"incore/internal/core"
 	"incore/internal/kernels"
+	"incore/internal/memsim"
 	"incore/internal/sim"
 	"incore/internal/uarch"
 )
@@ -102,5 +105,72 @@ func TestMemoSimulateMatchesDirect(t *testing.T) {
 	}
 	if st := c.Stats(); st.Misses != 1 {
 		t.Errorf("traced run must bypass the cache: %+v", st)
+	}
+}
+
+// TestWACurveScheduleIndependent computes Fig. 4 curves on fresh memo
+// tiers at pool widths 1 and 4, and from inside jobs that already hold
+// every slot of a width-2 pool (so the per-count fan-out runs inline):
+// each map must equal one fresh memsim run per core count, bit for bit.
+func TestWACurveScheduleIndependent(t *testing.T) {
+	curves := []struct {
+		key    string
+		nt     bool
+		counts []int
+	}{
+		{"goldencove", true, []int{1, 8, 5}},
+		{"zen4", false, []int{2, 1}},
+	}
+	want := make([]map[int]float64, len(curves))
+	for i, c := range curves {
+		want[i] = map[int]float64{}
+		for _, n := range c.counts {
+			s, err := memsim.NewSystem(memsim.MustConfigFor(c.key))
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := s.RunStoreStream(n, memsim.DefaultStoreLinesPerCore, c.nt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[i][n] = r.WARatio()
+		}
+	}
+	check := func(what string, i int, got map[int]float64) {
+		t.Helper()
+		if !reflect.DeepEqual(got, want[i]) {
+			t.Errorf("%s: %s curve %v, want %v", what, curves[i].key, got, want[i])
+		}
+	}
+	fresh := func(workers int) {
+		t.Helper()
+		oldShared, oldPersistent := shared, persistent
+		shared, persistent = NewCache(), nil
+		t.Cleanup(func() { shared, persistent = oldShared, oldPersistent })
+		old := Default().Workers()
+		SetDefaultWorkers(workers)
+		t.Cleanup(func() { SetDefaultWorkers(old) })
+	}
+
+	for _, w := range []int{1, 4} {
+		fresh(w)
+		for i, c := range curves {
+			got, err := WACurve(c.key, c.nt, c.counts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("width %d", w), i, got)
+		}
+	}
+
+	fresh(2)
+	got, err := MapN(Default(), len(curves), func(i int) (map[int]float64, error) {
+		return WACurve(curves[i].key, curves[i].nt, curves[i].counts)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range curves {
+		check("nested in a slot-holding job", i, got[i])
 	}
 }
