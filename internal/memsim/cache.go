@@ -138,21 +138,6 @@ func (c *Cache) Insert(a LineAddr, dirty bool) (victim LineAddr, evicted, evicte
 	return victimAddr, true, wasDirty
 }
 
-// Invalidate drops a line if present, returning whether it was dirty.
-func (c *Cache) Invalidate(a LineAddr) (present, dirty bool) {
-	set, key := c.locate(a)
-	base := int(set) * c.cfg.Ways
-	for i, t := range c.tags[base : base+c.cfg.Ways] {
-		if t == key {
-			w := base + i
-			d := c.dirty[w]
-			c.tags[w], c.lru[w], c.dirty[w] = 0, 0, false
-			return true, d
-		}
-	}
-	return false, false
-}
-
 // FlushDirty visits every dirty line in set order, invokes fn, and marks
 // it clean.
 func (c *Cache) FlushDirty(fn func(LineAddr)) {
@@ -163,6 +148,3 @@ func (c *Cache) FlushDirty(fn func(LineAddr)) {
 		}
 	}
 }
-
-// LineBytes returns the configured line size.
-func (c *Cache) LineBytes() int { return c.cfg.LineBytes }

@@ -57,11 +57,6 @@ func (d *streamDetector) Observe(a LineAddr) bool {
 	return d.consecutive > d.TrainLen
 }
 
-// Streaming reports the current state without observing a new address.
-func (d *streamDetector) Streaming() bool {
-	return d.consecutive > d.TrainLen
-}
-
 // specI2MState tracks the deterministic fractional conversion of RFOs to
 // I2M requests per memory controller.
 type specI2MState struct {

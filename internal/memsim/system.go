@@ -137,33 +137,55 @@ func (c *controller) serve(completed []int) {
 }
 
 type simCore struct {
-	id       int
-	domain   int
-	l1, l2   *Cache
-	detector streamDetector
+	id     int
+	domain int
+	// off shifts the template core's addresses into this core's region.
+	off LineAddr
 
 	outstanding int
 	issueAcc    float64
 
-	// Workload cursor.
-	strides []workStream
-	cursor  int64
-	done    bool
+	cursor int64
+	done   bool
 
 	ntResidAcc  float64
 	storedBytes int64
 	loadedBytes int64
 }
 
-// workStream is one array stream of a workload: a base address and
-// whether it is written.
+// workStream is one array stream of a workload: core 0's base line
+// address and whether it is written.
 type workStream struct {
 	base  LineAddr
 	write bool
 	nt    bool
 }
 
+// regionLines (1 GiB of 64-byte lines) separates the streams of one
+// core; core i's streams start i*8*regionLines lines above core 0's, so
+// no two cores or streams share a line.
+const regionLines = LineAddr(1 << 24)
+
+// traceEntry is the private-hierarchy outcome of one template-core
+// access: bit 0 says L1 and L2 both missed (an L3 lookup is due), bit 1
+// is the auto-claim detector's streaming bit, bit 2 says L2 evicted a
+// dirty line into L3, and the bits above hold that victim's address.
+type traceEntry uint64
+
+const (
+	traceL3Lookup traceEntry = 1 << iota
+	traceStreaming
+	traceVictim
+	traceFlagBits = iota
+)
+
+func (e traceEntry) victim() LineAddr { return LineAddr(e >> traceFlagBits) }
+
 // System is a multi-core memory-hierarchy simulator.
+//
+// The private L1/L2 and stream detector are simulated once per run, on a
+// template core, and replayed on every active core; see buildTrace for
+// why this is exact.
 type System struct {
 	cfg   Config
 	cores []*simCore
@@ -172,6 +194,16 @@ type System struct {
 	ticks int64
 	// completed counts each core's reads served in the current tick.
 	completed []int
+
+	// l1, l2 and detector are the template core's private hierarchy.
+	l1, l2   *Cache
+	detector streamDetector
+	// streams are the current run's streams at core 0's bases; trace
+	// holds one entry per (iteration, stream) of core 0, and dirty is
+	// the number of dirty lines its L1 and L2 hold at the end.
+	streams []workStream
+	trace   []traceEntry
+	dirty   int
 }
 
 // NewSystem builds a system from a config.
@@ -182,7 +214,12 @@ func NewSystem(cfg Config) (*System, error) {
 	if cfg.LineBytes <= 0 {
 		cfg.LineBytes = 64
 	}
-	s := &System{cfg: cfg, completed: make([]int, cfg.Cores)}
+	s := &System{
+		cfg:       cfg,
+		completed: make([]int, cfg.Cores),
+		l1:        NewCache(cfg.L1),
+		l2:        NewCache(cfg.L2),
+	}
 	for d := 0; d < cfg.Domains; d++ {
 		s.l3 = append(s.l3, NewCache(cfg.L3))
 		ctl := &controller{bytesPerTick: cfg.DomainGBs * TickSeconds * 1e9}
@@ -190,13 +227,7 @@ func NewSystem(cfg Config) (*System, error) {
 		s.ctrl = append(s.ctrl, ctl)
 	}
 	for i := 0; i < cfg.Cores; i++ {
-		c := &simCore{
-			id: i,
-			l1: NewCache(cfg.L1),
-			l2: NewCache(cfg.L2),
-		}
-		c.detector.TrainLen = cfg.DetectorTrainLen
-		s.cores = append(s.cores, c)
+		s.cores = append(s.cores, &simCore{id: i, off: LineAddr(i) * 8 * regionLines})
 	}
 	return s, nil
 }
@@ -258,17 +289,8 @@ func (s *System) RunStoreStream(active, linesPerCore int, nt bool) (TrafficResul
 // store stream) of linesPerCore lines per stream per core.
 func (s *System) RunTriad(active, linesPerCore int, ntStores bool) (TrafficResult, error) {
 	streams := []workStream{
-		{base: 1 << 30, write: false},
-		{base: 2 << 30, write: false},
-		{base: 0, write: true, nt: ntStores},
-	}
-	return s.run(active, linesPerCore, streams)
-}
-
-// RunCopy runs a copy workload (one load stream, one store stream).
-func (s *System) RunCopy(active, linesPerCore int, ntStores bool) (TrafficResult, error) {
-	streams := []workStream{
-		{base: 1 << 30, write: false},
+		{base: regionLines, write: false},
+		{base: 2 * regionLines, write: false},
 		{base: 0, write: true, nt: ntStores},
 	}
 	return s.run(active, linesPerCore, streams)
@@ -278,24 +300,15 @@ func (s *System) run(active, linesPerCore int, streams []workStream) (TrafficRes
 	if active <= 0 || active > s.cfg.Cores {
 		return TrafficResult{}, fmt.Errorf("memsim: %s: active cores %d out of range 1..%d", s.cfg.Key, active, s.cfg.Cores)
 	}
-	if linesPerCore <= 0 {
-		return TrafficResult{}, fmt.Errorf("memsim: linesPerCore must be positive")
+	if linesPerCore <= 0 || linesPerCore > int(regionLines) {
+		return TrafficResult{}, fmt.Errorf("memsim: linesPerCore %d out of range 1..%d", linesPerCore, regionLines)
 	}
 	s.reset()
-	// Per-core disjoint address regions, 1 GiB apart per core per stream.
-	lineShift := uint(6)
-	regionLines := LineAddr(1 << (30 - lineShift))
+	s.streams = append(s.streams[:0], streams...)
+	s.buildTrace(linesPerCore)
 	act := s.cores[:active]
 	for i, c := range act {
 		c.domain = s.domainOf(i)
-		c.strides = c.strides[:0]
-		for _, st := range streams {
-			c.strides = append(c.strides, workStream{
-				base:  st.base/64 + LineAddr(i)*regionLines*8,
-				write: st.write,
-				nt:    st.nt,
-			})
-		}
 		c.done = false
 	}
 
@@ -337,19 +350,19 @@ func (s *System) run(active, linesPerCore int, streams []workStream) (TrafficRes
 		if allDone && !flushed {
 			// Trailing writebacks: dirty lines still in the caches
 			// drain through the controllers like any other traffic.
-			var ctl *controller
-			core := 0
-			flush := func(LineAddr) {
-				ctl.enqueue(request{core: core, bytes: s.cfg.LineBytes})
-			}
+			// Flush requests carry no address, so each core enqueues
+			// the template's dirty count.
 			for _, c := range act {
-				ctl, core = s.ctrl[c.domain], c.id
-				c.l1.FlushDirty(flush)
-				c.l2.FlushDirty(flush)
+				ctl := s.ctrl[c.domain]
+				for range s.dirty {
+					ctl.enqueue(request{core: c.id, bytes: s.cfg.LineBytes})
+				}
 			}
 			for d, l3 := range s.l3 {
-				ctl, core = s.ctrl[d], 0
-				l3.FlushDirty(flush)
+				ctl := s.ctrl[d]
+				l3.FlushDirty(func(LineAddr) {
+					ctl.enqueue(request{core: 0, bytes: s.cfg.LineBytes})
+				})
 			}
 			flushed = true
 		}
@@ -388,78 +401,107 @@ func (s *System) run(active, linesPerCore int, streams []workStream) (TrafficRes
 	return res, nil
 }
 
-// issueIteration performs one iteration (one line per stream) for a core.
+// buildTrace runs the template core (core 0) through linesPerCore
+// iterations of the run's streams on a fresh private L1/L2 and detector,
+// recording each access's outcome in s.trace and the dirty lines left
+// over in s.dirty. issueIteration replays the trace on every active
+// core, shifted to that core's region. This is exact because:
+//
+//   - A core's private L1/L2 and detector see only its own accesses, in
+//     the order fixed by its cursor. Issue gating delays accesses but
+//     never reorders them, and L3 outcomes never change private state:
+//     an L2 hit, an L3 hit and a miss all make the same private insert.
+//   - All active cores run the same streams, shifted by off. A
+//     set-associative LRU cache treats shifted addresses alike: two
+//     addresses share a set (and a tag) before the shift exactly when
+//     they do after it, so core i's outcome is core 0's plus its off.
+//   - Private operations touch no shared state, so running them ahead
+//     of time keeps the order of the shared operations.
+func (s *System) buildTrace(linesPerCore int) {
+	s.l1.reset()
+	s.l2.reset()
+	s.detector = streamDetector{TrainLen: s.cfg.DetectorTrainLen}
+	s.trace = s.trace[:0]
+	for cursor := range LineAddr(linesPerCore) {
+		for _, st := range s.streams {
+			var e traceEntry
+			if !st.nt {
+				e = s.privateAccess(st.base+cursor, st.write)
+			}
+			s.trace = append(s.trace, e)
+		}
+	}
+	s.dirty = 0
+	count := func(LineAddr) { s.dirty++ }
+	s.l1.FlushDirty(count)
+	s.l2.FlushDirty(count)
+}
+
+// privateAccess performs one cached access on the template core's
+// private hierarchy and returns its trace entry.
+func (s *System) privateAccess(a LineAddr, write bool) traceEntry {
+	var e traceEntry
+	if write && s.cfg.Policy == PolicyAutoClaim && s.detector.Observe(a) {
+		e |= traceStreaming
+	}
+	if s.l1.Lookup(a, write) {
+		return e
+	}
+	if !s.l2.Lookup(a, write) {
+		e |= traceL3Lookup
+	}
+	// L1 allocates the line, cascading dirty victims down the hierarchy.
+	victim, evicted, dirty := s.l1.Insert(a, write)
+	if !evicted || !dirty {
+		return e
+	}
+	if v2, e2, d2 := s.l2.Insert(victim, true); e2 && d2 {
+		e |= traceVictim | traceEntry(v2)<<traceFlagBits
+	}
+	return e
+}
+
+// issueIteration performs one iteration (one line per stream) for a
+// core: the private outcome comes from the trace, and only the shared
+// operations — L3, policy checks and controller requests — run here.
 func (s *System) issueIteration(c *simCore, active int) {
 	lb := int64(s.cfg.LineBytes)
-	for _, st := range c.strides {
-		addr := st.base + LineAddr(c.cursor)
-		switch {
-		case st.write && st.nt:
+	trace := s.trace[int(c.cursor)*len(s.streams):]
+	for j, st := range s.streams {
+		if st.nt {
 			s.ntStore(c, active)
 			c.storedBytes += lb
-		case st.write:
-			s.store(c, addr)
+			continue
+		}
+		if st.write {
 			c.storedBytes += lb
-		default:
-			s.load(c, addr)
+		} else {
 			c.loadedBytes += lb
+		}
+		e := trace[j]
+		if e&traceL3Lookup != 0 && !s.l3[c.domain].Lookup(st.base+c.off+LineAddr(c.cursor), st.write) {
+			ctl := s.ctrl[c.domain]
+			needRead := true
+			if st.write {
+				switch s.cfg.Policy {
+				case PolicyAutoClaim:
+					needRead = e&traceStreaming == 0
+				case PolicySpecI2M:
+					needRead = !ctl.i2m.Convert(ctl.util)
+				}
+			}
+			if needRead {
+				ctl.enqueue(request{core: c.id, bytes: s.cfg.LineBytes, isRead: true})
+				c.outstanding++
+			}
+		}
+		if e&traceVictim != 0 {
+			if _, e3, d3 := s.l3[c.domain].Insert(e.victim()+c.off, true); e3 && d3 {
+				s.ctrl[c.domain].enqueue(request{core: c.id, bytes: s.cfg.LineBytes, isRead: false})
+			}
 		}
 	}
 	c.cursor++
-}
-
-// store handles a standard full-line store.
-func (s *System) store(c *simCore, a LineAddr) {
-	streaming := false
-	if s.cfg.Policy == PolicyAutoClaim {
-		streaming = c.detector.Observe(a)
-	}
-	if c.l1.Lookup(a, true) {
-		return
-	}
-	if c.l2.Lookup(a, true) {
-		s.insertL1(c, a, true)
-		return
-	}
-	l3 := s.l3[c.domain]
-	if l3.Lookup(a, true) {
-		s.insertL1(c, a, true)
-		return
-	}
-	ctl := s.ctrl[c.domain]
-	needRead := true
-	switch s.cfg.Policy {
-	case PolicyAutoClaim:
-		needRead = !streaming
-	case PolicySpecI2M:
-		if ctl.i2m.Convert(ctl.util) {
-			needRead = false
-		}
-	}
-	if needRead {
-		ctl.enqueue(request{core: c.id, bytes: s.cfg.LineBytes, isRead: true})
-		c.outstanding++
-	}
-	s.insertL1(c, a, true)
-}
-
-// load handles a full-line read.
-func (s *System) load(c *simCore, a LineAddr) {
-	if c.l1.Lookup(a, false) {
-		return
-	}
-	if c.l2.Lookup(a, false) {
-		s.insertL1(c, a, false)
-		return
-	}
-	if s.l3[c.domain].Lookup(a, false) {
-		s.insertL1(c, a, false)
-		return
-	}
-	ctl := s.ctrl[c.domain]
-	ctl.enqueue(request{core: c.id, bytes: s.cfg.LineBytes, isRead: true})
-	c.outstanding++
-	s.insertL1(c, a, false)
 }
 
 // ntStore handles a non-temporal full-line store through write-combining
@@ -477,32 +519,11 @@ func (s *System) ntStore(c *simCore, active int) {
 	}
 }
 
-// insertL1 allocates into L1, cascading victims down the hierarchy.
-func (s *System) insertL1(c *simCore, a LineAddr, dirty bool) {
-	victim, evicted, vdirty := c.l1.Insert(a, dirty)
-	if !evicted {
-		return
-	}
-	if !vdirty {
-		return
-	}
-	v2, e2, d2 := c.l2.Insert(victim, true)
-	if !e2 || !d2 {
-		return
-	}
-	if _, e3, d3 := s.l3[c.domain].Insert(v2, true); e3 && d3 {
-		s.ctrl[c.domain].enqueue(request{core: c.id, bytes: s.cfg.LineBytes, isRead: false})
-	}
-}
-
-// reset clears all state for a fresh run in place: caches are emptied
-// and controller rings keep their backing arrays, so nothing is
-// reallocated.
+// reset clears all shared and per-core state for a fresh run in place:
+// caches are emptied and controller rings keep their backing arrays, so
+// nothing is reallocated. buildTrace resets the template core.
 func (s *System) reset() {
 	for _, c := range s.cores {
-		c.l1.reset()
-		c.l2.reset()
-		c.detector = streamDetector{TrainLen: s.cfg.DetectorTrainLen}
 		c.outstanding = 0
 		c.issueAcc = 0
 		c.cursor = 0
@@ -517,13 +538,4 @@ func (s *System) reset() {
 	}
 	clear(s.completed)
 	s.ticks = 0
-}
-
-// Utilization returns each domain controller's utilization EMA (tests).
-func (s *System) Utilization() []float64 {
-	out := make([]float64, len(s.ctrl))
-	for i, c := range s.ctrl {
-		out[i] = c.util
-	}
-	return out
 }

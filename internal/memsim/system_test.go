@@ -135,17 +135,6 @@ func TestTriadTrafficAccounting(t *testing.T) {
 	}
 }
 
-func TestCopyWorkload(t *testing.T) {
-	s := sys(t, "zen4")
-	r, err := s.RunCopy(2, testLines, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.LoadedBytes != r.StoredBytes {
-		t.Errorf("copy: loaded %d != stored %d", r.LoadedBytes, r.StoredBytes)
-	}
-}
-
 func TestBandwidthSaturation(t *testing.T) {
 	// At full socket the achieved traffic bandwidth approaches the
 	// configured controller capacity.
@@ -192,6 +181,9 @@ func TestRunValidation(t *testing.T) {
 	if _, err := s.RunStoreStream(1, 0, false); err == nil {
 		t.Error("zero lines must error")
 	}
+	if _, err := s.RunStoreStream(1, int(regionLines)+1, false); err == nil {
+		t.Error("lines beyond one stream region must error")
+	}
 }
 
 func TestDefaultCounts(t *testing.T) {
@@ -206,13 +198,15 @@ func TestDefaultCounts(t *testing.T) {
 	}
 }
 
-// TestSystemReuse runs different workloads back to back on
-// one System — SPR NT stores at 52 cores (the residual-RFO accumulator),
-// a full-socket standard store stream (whose trailing flush grows the
-// controller rings), a triad, and standard stores at 45 cores (where a
-// leftover SpecI2M accumulator changes the result) — and requires every
-// result to equal the same workload on a freshly built System, field
-// for field.
+// TestSystemReuse runs different workloads back to back on one System —
+// SPR NT stores at 52 cores (the residual-RFO accumulator), a
+// full-socket standard store stream (whose trailing flush grows the
+// controller rings), a triad (a different trace shape), standard stores
+// at 45 cores (where a leftover SpecI2M accumulator changes the result),
+// and 16- and 4-line runs, each twice in a row (their lines are still in
+// the private L2 or L1 unless those are emptied) — and requires every
+// result to equal the same workload on a freshly built System, field for
+// field. It does so for scatter and for compact placement.
 func TestSystemReuse(t *testing.T) {
 	workloads := []struct {
 		name string
@@ -222,23 +216,100 @@ func TestSystemReuse(t *testing.T) {
 		{"store-full-socket", func(s *System) (TrafficResult, error) { return s.RunStoreStream(52, testLines, false) }},
 		{"triad-26", func(s *System) (TrafficResult, error) { return s.RunTriad(26, testLines/4, true) }},
 		{"speci2m-45", func(s *System) (TrafficResult, error) { return s.RunStoreStream(45, testLines/4, false) }},
+		{"store-16-lines", func(s *System) (TrafficResult, error) { return s.RunStoreStream(4, 16, false) }},
+		{"store-4-lines", func(s *System) (TrafficResult, error) { return s.RunStoreStream(4, 4, false) }},
 	}
-	fresh := make([]TrafficResult, len(workloads))
-	for i, w := range workloads {
-		r, err := w.run(sys(t, "goldencove"))
-		if err != nil {
-			t.Fatal(err)
+	for _, placement := range []Placement{PlacementScatter, PlacementCompact} {
+		cfg := MustConfigFor("goldencove")
+		cfg.Placement = placement
+		newSys := func() *System {
+			s, err := NewSystem(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
 		}
-		fresh[i] = r
+		fresh := make([]TrafficResult, len(workloads))
+		for i, w := range workloads {
+			r, err := w.run(newSys())
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh[i] = r
+		}
+		reused := newSys()
+		for _, i := range []int{0, 1, 0, 2, 3, 3, 1, 2, 4, 4, 5, 5} {
+			r, err := workloads[i].run(reused)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r != fresh[i] {
+				t.Errorf("placement %d: %s on a reused system: %+v, fresh %+v", placement, workloads[i].name, r, fresh[i])
+			}
+		}
 	}
-	reused := sys(t, "goldencove")
-	for _, i := range []int{0, 1, 0, 2, 3, 3, 1, 2} {
-		r, err := workloads[i].run(reused)
-		if err != nil {
-			t.Fatal(err)
+}
+
+// TestTraceReplayPremise checks the premise of the template-core trace
+// directly: simulating a fresh private hierarchy over core i's absolute
+// addresses yields the template's outcomes with every victim shifted by
+// core i's offset. Besides the node configs it uses L1/L2 set counts (3
+// and 12) that do not divide the offsets, so sets shift too.
+func TestTraceReplayPremise(t *testing.T) {
+	odd := MustConfigFor("neoversev2")
+	odd.Key = "odd-sets"
+	odd.L1 = CacheConfig{SizeBytes: 3 * 8 * 64, Ways: 8, LineBytes: 64}
+	odd.L2 = CacheConfig{SizeBytes: 12 * 8 * 64, Ways: 8, LineBytes: 64}
+	cfgs := []Config{odd}
+	for _, key := range []string{"neoversev2", "goldencove", "zen4"} {
+		cfgs = append(cfgs, MustConfigFor(key))
+	}
+	const lines = 1024
+	for _, cfg := range cfgs {
+		workloads := map[string]func(s *System) (TrafficResult, error){
+			"store":    func(s *System) (TrafficResult, error) { return s.RunStoreStream(cfg.Cores, lines, false) },
+			"nt-store": func(s *System) (TrafficResult, error) { return s.RunStoreStream(cfg.Cores, lines, true) },
+			"triad":    func(s *System) (TrafficResult, error) { return s.RunTriad(cfg.Cores, lines, false) },
 		}
-		if r != fresh[i] {
-			t.Errorf("%s on a reused system: %+v, fresh %+v", workloads[i].name, r, fresh[i])
+		for name, run := range workloads {
+			tmpl, err := NewSystem(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := run(tmpl); err != nil {
+				t.Fatal(err)
+			}
+			if len(tmpl.trace) != lines*len(tmpl.streams) {
+				t.Fatalf("%s/%s: trace has %d entries, want %d", cfg.Key, name, len(tmpl.trace), lines*len(tmpl.streams))
+			}
+			victims := 0
+			for _, core := range []int{1, 7, cfg.Cores - 1} {
+				off := tmpl.cores[core].off
+				ref, err := NewSystem(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, st := range tmpl.streams {
+					st.base += off
+					ref.streams = append(ref.streams, st)
+				}
+				ref.buildTrace(lines)
+				for k, want := range tmpl.trace {
+					if want&traceVictim != 0 {
+						victims++
+						want = want&(1<<traceFlagBits-1) | traceEntry(want.victim()+off)<<traceFlagBits
+					}
+					if got := ref.trace[k]; got != want {
+						t.Fatalf("%s/%s core %d access %d: outcome %#x, template shifted %#x", cfg.Key, name, core, k, got, want)
+					}
+				}
+				if ref.dirty != tmpl.dirty {
+					t.Errorf("%s/%s core %d: %d dirty lines left, template %d", cfg.Key, name, core, ref.dirty, tmpl.dirty)
+				}
+			}
+			if name != "nt-store" && victims == 0 {
+				t.Errorf("%s/%s: no L2 victims reach L3; the check is vacuous", cfg.Key, name)
+			}
 		}
 	}
 }
