@@ -57,15 +57,17 @@ const (
 	PlacementCompact
 )
 
-type request struct {
-	core   int
-	bytes  int
-	isRead bool
-}
+// request is one cache line queued at a controller: the id of the core
+// that reads it, or writeReq for a writeback or a non-temporal store.
+type request int32
+
+const writeReq request = -1
 
 type controller struct {
 	bytesPerTick float64
-	budget       float64
+	// lineBytes is the size of every request.
+	lineBytes int
+	budget    float64
 	// queue is a FIFO ring: count requests starting at queue[head],
 	// wrapping at len(queue). It doubles when full and is never shrunk,
 	// so a reused controller stops allocating once it has seen its
@@ -84,7 +86,7 @@ type controller struct {
 func (c *controller) reset() {
 	i2m := c.i2m
 	i2m.acc = 0
-	*c = controller{bytesPerTick: c.bytesPerTick, queue: c.queue, i2m: i2m}
+	*c = controller{bytesPerTick: c.bytesPerTick, lineBytes: c.lineBytes, queue: c.queue, i2m: i2m}
 }
 
 func (c *controller) enqueue(r request) {
@@ -97,7 +99,7 @@ func (c *controller) enqueue(r request) {
 	}
 	c.queue[i] = r
 	c.count++
-	c.queuedBytes += int64(r.bytes)
+	c.queuedBytes += int64(c.lineBytes)
 }
 
 // grow doubles the ring, unwrapping it so the oldest request lands at 0.
@@ -112,20 +114,20 @@ func (c *controller) grow() {
 func (c *controller) serve(completed []int) {
 	c.budget += c.bytesPerTick
 	served := 0.0
-	for c.count > 0 && c.budget >= float64(c.queue[c.head].bytes) {
+	for c.count > 0 && c.budget >= float64(c.lineBytes) {
 		r := c.queue[c.head]
 		if c.head++; c.head == len(c.queue) {
 			c.head = 0
 		}
 		c.count--
-		c.queuedBytes -= int64(r.bytes)
-		c.budget -= float64(r.bytes)
-		served += float64(r.bytes)
-		if r.isRead {
-			c.ReadBytes += int64(r.bytes)
-			completed[r.core]++
+		c.queuedBytes -= int64(c.lineBytes)
+		c.budget -= float64(c.lineBytes)
+		served += float64(c.lineBytes)
+		if r != writeReq {
+			c.ReadBytes += int64(c.lineBytes)
+			completed[r]++
 		} else {
-			c.WriteBytes += int64(r.bytes)
+			c.WriteBytes += int64(c.lineBytes)
 		}
 	}
 	if c.budget > c.bytesPerTick {
@@ -139,8 +141,10 @@ func (c *controller) serve(completed []int) {
 type simCore struct {
 	id     int
 	domain int
-	// off shifts the template core's addresses into this core's region.
-	off LineAddr
+	// off shifts the template core's addresses into this core's region;
+	// setOff is off mod the L3 set count, the same shift in L3 sets.
+	off    LineAddr
+	setOff uint64
 
 	outstanding int
 	issueAcc    float64
@@ -167,31 +171,53 @@ type workStream struct {
 const regionLines = LineAddr(1 << 24)
 
 // traceEntry is the private-hierarchy outcome of one template-core
-// access: bit 0 says L1 and L2 both missed (an L3 lookup is due), bit 1
-// is the auto-claim detector's streaming bit, bit 2 says L2 evicted a
-// dirty line into L3, and the bits above hold that victim's address.
+// access: bit 0 says L1 and L2 both missed (the line comes from memory),
+// bit 1 is the auto-claim detector's streaming bit, bit 2 says L2
+// evicted a dirty line into L3, and the bits above hold that victim's L3
+// set.
 type traceEntry uint64
 
 const (
-	traceL3Lookup traceEntry = 1 << iota
+	traceL2Miss traceEntry = 1 << iota
 	traceStreaming
 	traceVictim
 	traceFlagBits = iota
 )
 
-func (e traceEntry) victim() LineAddr { return LineAddr(e >> traceFlagBits) }
+func (e traceEntry) victimSet() uint64 { return uint64(e >> traceFlagBits) }
+
+// l3Slice is one domain's shared L3 slice, reduced to what a run can
+// observe of it: how many lines each set holds. See buildTrace for why
+// that is exact.
+type l3Slice struct {
+	fill  []uint8 // valid lines per set
+	lines int     // valid lines in all sets
+}
+
+// insert allocates a dirty line in set and reports whether that evicts a
+// dirty line, which it does exactly when the set is full.
+func (l *l3Slice) insert(set uint64, ways uint8) bool {
+	if l.fill[set] == ways {
+		return true
+	}
+	l.fill[set]++
+	l.lines++
+	return false
+}
 
 // System is a multi-core memory-hierarchy simulator.
 //
 // The private L1/L2 and stream detector are simulated once per run, on a
-// template core, and replayed on every active core; see buildTrace for
-// why this is exact.
+// template core, and replayed on every active core; the shared L3 is a
+// per-set fill counter. See buildTrace for why both are exact.
 type System struct {
-	cfg   Config
-	cores []*simCore
-	l3    []*Cache
-	ctrl  []*controller
-	ticks int64
+	cfg    Config
+	cores  []*simCore
+	l3     []l3Slice
+	l3Sets uint64
+	l3Ways uint8
+	ctrl   []*controller
+	ticks  int64
 	// completed counts each core's reads served in the current tick.
 	completed []int
 
@@ -208,28 +234,60 @@ type System struct {
 
 // NewSystem builds a system from a config.
 func NewSystem(cfg Config) (*System, error) {
-	if cfg.Cores <= 0 || cfg.Domains <= 0 {
-		return nil, fmt.Errorf("memsim: bad config: cores=%d domains=%d", cfg.Cores, cfg.Domains)
-	}
 	if cfg.LineBytes <= 0 {
 		cfg.LineBytes = 64
+	}
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	s := &System{
 		cfg:       cfg,
 		completed: make([]int, cfg.Cores),
 		l1:        NewCache(cfg.L1),
 		l2:        NewCache(cfg.L2),
+		l3Sets:    uint64(cfg.L3.Sets()),
+		l3Ways:    uint8(cfg.L3.Ways),
 	}
 	for d := 0; d < cfg.Domains; d++ {
-		s.l3 = append(s.l3, NewCache(cfg.L3))
-		ctl := &controller{bytesPerTick: cfg.DomainGBs * TickSeconds * 1e9}
+		s.l3 = append(s.l3, l3Slice{fill: make([]uint8, s.l3Sets)})
+		ctl := &controller{bytesPerTick: cfg.DomainGBs * TickSeconds * 1e9, lineBytes: cfg.LineBytes}
 		ctl.i2m = specI2MState{Threshold: cfg.SpecI2MThreshold, MaxShare: cfg.SpecI2MMaxShare, RampEnd: cfg.SpecI2MRampEnd}
 		s.ctrl = append(s.ctrl, ctl)
 	}
 	for i := 0; i < cfg.Cores; i++ {
-		s.cores = append(s.cores, &simCore{id: i, off: LineAddr(i) * 8 * regionLines})
+		off := LineAddr(i) * 8 * regionLines
+		s.cores = append(s.cores, &simCore{id: i, off: off, setOff: uint64(off) % s.l3Sets})
 	}
 	return s, nil
+}
+
+// validate rejects configs a run could not simulate: they would divide by
+// zero, overflow the L3 fill counters or never finish.
+func (cfg Config) validate() error {
+	if cfg.Cores <= 0 || cfg.Cores > math.MaxInt32 || cfg.Domains <= 0 {
+		return fmt.Errorf("memsim: bad config: cores=%d domains=%d", cfg.Cores, cfg.Domains)
+	}
+	for _, l := range []struct {
+		name string
+		c    CacheConfig
+	}{{"L1", cfg.L1}, {"L2", cfg.L2}, {"L3", cfg.L3}} {
+		if l.c.Ways <= 0 || l.c.Sets() == 0 {
+			return fmt.Errorf("memsim: bad config: %s has %d ways and %d sets", l.name, l.c.Ways, l.c.Sets())
+		}
+	}
+	if cfg.L3.Ways > math.MaxUint8 {
+		return fmt.Errorf("memsim: bad config: L3 has %d ways, at most %d supported", cfg.L3.Ways, math.MaxUint8)
+	}
+	if cfg.MLP <= 0 || !(cfg.CoreGBs > 0) || !(cfg.DomainGBs > 0) || cfg.QueueCapBytes < 0 {
+		return fmt.Errorf("memsim: bad config: MLP=%d CoreGBs=%g DomainGBs=%g QueueCapBytes=%d",
+			cfg.MLP, cfg.CoreGBs, cfg.DomainGBs, cfg.QueueCapBytes)
+	}
+	// A controller banks at most two ticks of budget, so a slower one
+	// never serves a line.
+	if 2*cfg.DomainGBs*TickSeconds*1e9 < float64(cfg.LineBytes) {
+		return fmt.Errorf("memsim: bad config: DomainGBs=%g serves less than one %d-byte line per two ticks", cfg.DomainGBs, cfg.LineBytes)
+	}
+	return nil
 }
 
 // domainOf maps the i-th *active* core to its NUMA domain.
@@ -351,18 +409,18 @@ func (s *System) run(active, linesPerCore int, streams []workStream) (TrafficRes
 			// Trailing writebacks: dirty lines still in the caches
 			// drain through the controllers like any other traffic.
 			// Flush requests carry no address, so each core enqueues
-			// the template's dirty count.
+			// the template's dirty count, and each L3 slice its count
+			// of (all dirty) lines.
 			for _, c := range act {
 				ctl := s.ctrl[c.domain]
 				for range s.dirty {
-					ctl.enqueue(request{core: c.id, bytes: s.cfg.LineBytes})
+					ctl.enqueue(writeReq)
 				}
 			}
 			for d, l3 := range s.l3 {
-				ctl := s.ctrl[d]
-				l3.FlushDirty(func(LineAddr) {
-					ctl.enqueue(request{core: 0, bytes: s.cfg.LineBytes})
-				})
+				for range l3.lines {
+					s.ctrl[d].enqueue(writeReq)
+				}
 			}
 			flushed = true
 		}
@@ -417,6 +475,27 @@ func (s *System) run(active, linesPerCore int, streams []workStream) (TrafficRes
 //     they do after it, so core i's outcome is core 0's plus its off.
 //   - Private operations touch no shared state, so running them ahead
 //     of time keeps the order of the shared operations.
+//
+// The shared L3 reduces to a fill count per set, because no L3 lookup
+// can hit. run rejects linesPerCore > regionLines and core regions are
+// 8·regionLines apart, so every (core, stream, cursor) address is
+// touched exactly once per run. L1 allocates only on an access, L2 holds
+// only L1 victims and L3 only L2 victims, so every L3 line is a line its
+// core touched before; a later access to it would be a second touch.
+// Hence:
+//
+//   - An L3 lookup always misses, and a miss changes only a statistic,
+//     so no lookup is made.
+//   - Every L3 insert is dirty, and no hit ever refreshes LRU or dirty
+//     state, so every valid L3 line is dirty.
+//   - An insert therefore evicts a dirty line exactly when its set is
+//     full; that eviction is the writeback enqueue.
+//   - The trailing flush writes back every valid L3 line.
+//   - Writeback requests carry no address, so which line is evicted
+//     never matters.
+//
+// The trace thus records only the victim's L3 set, and a core's victim
+// set is the template's plus its setOff, mod the set count.
 func (s *System) buildTrace(linesPerCore int) {
 	s.l1.reset()
 	s.l2.reset()
@@ -426,7 +505,11 @@ func (s *System) buildTrace(linesPerCore int) {
 		for _, st := range s.streams {
 			var e traceEntry
 			if !st.nt {
-				e = s.privateAccess(st.base+cursor, st.write)
+				var victim LineAddr
+				e, victim = s.privateAccess(st.base+cursor, st.write)
+				if e&traceVictim != 0 {
+					e |= traceEntry(uint64(victim)%s.l3Sets) << traceFlagBits
+				}
 			}
 			s.trace = append(s.trace, e)
 		}
@@ -438,32 +521,34 @@ func (s *System) buildTrace(linesPerCore int) {
 }
 
 // privateAccess performs one cached access on the template core's
-// private hierarchy and returns its trace entry.
-func (s *System) privateAccess(a LineAddr, write bool) traceEntry {
+// private hierarchy. It returns the access's trace flags and, when they
+// include traceVictim, the dirty L2 victim bound for L3.
+func (s *System) privateAccess(a LineAddr, write bool) (traceEntry, LineAddr) {
 	var e traceEntry
 	if write && s.cfg.Policy == PolicyAutoClaim && s.detector.Observe(a) {
 		e |= traceStreaming
 	}
 	if s.l1.Lookup(a, write) {
-		return e
+		return e, 0
 	}
 	if !s.l2.Lookup(a, write) {
-		e |= traceL3Lookup
+		e |= traceL2Miss
 	}
 	// L1 allocates the line, cascading dirty victims down the hierarchy.
 	victim, evicted, dirty := s.l1.Insert(a, write)
 	if !evicted || !dirty {
-		return e
+		return e, 0
 	}
 	if v2, e2, d2 := s.l2.Insert(victim, true); e2 && d2 {
-		e |= traceVictim | traceEntry(v2)<<traceFlagBits
+		return e | traceVictim, v2
 	}
-	return e
+	return e, 0
 }
 
 // issueIteration performs one iteration (one line per stream) for a
 // core: the private outcome comes from the trace, and only the shared
-// operations — L3, policy checks and controller requests — run here.
+// operations — L3 fills, policy checks and controller requests — run
+// here.
 func (s *System) issueIteration(c *simCore, active int) {
 	lb := int64(s.cfg.LineBytes)
 	trace := s.trace[int(c.cursor)*len(s.streams):]
@@ -479,7 +564,7 @@ func (s *System) issueIteration(c *simCore, active int) {
 			c.loadedBytes += lb
 		}
 		e := trace[j]
-		if e&traceL3Lookup != 0 && !s.l3[c.domain].Lookup(st.base+c.off+LineAddr(c.cursor), st.write) {
+		if e&traceL2Miss != 0 {
 			ctl := s.ctrl[c.domain]
 			needRead := true
 			if st.write {
@@ -491,13 +576,17 @@ func (s *System) issueIteration(c *simCore, active int) {
 				}
 			}
 			if needRead {
-				ctl.enqueue(request{core: c.id, bytes: s.cfg.LineBytes, isRead: true})
+				ctl.enqueue(request(c.id))
 				c.outstanding++
 			}
 		}
 		if e&traceVictim != 0 {
-			if _, e3, d3 := s.l3[c.domain].Insert(e.victim()+c.off, true); e3 && d3 {
-				s.ctrl[c.domain].enqueue(request{core: c.id, bytes: s.cfg.LineBytes, isRead: false})
+			set := e.victimSet() + c.setOff
+			if set >= s.l3Sets {
+				set -= s.l3Sets
+			}
+			if s.l3[c.domain].insert(set, s.l3Ways) {
+				s.ctrl[c.domain].enqueue(writeReq)
 			}
 		}
 	}
@@ -508,20 +597,20 @@ func (s *System) issueIteration(c *simCore, active int) {
 // buffers: the line bypasses the cache hierarchy entirely.
 func (s *System) ntStore(c *simCore, active int) {
 	ctl := s.ctrl[c.domain]
-	ctl.enqueue(request{core: c.id, bytes: s.cfg.LineBytes, isRead: false})
+	ctl.enqueue(writeReq)
 	if s.cfg.NTResidualRFO > 0 && active > s.cfg.NTResidualMinCores {
 		c.ntResidAcc += s.cfg.NTResidualRFO
 		if c.ntResidAcc >= 1 {
 			c.ntResidAcc--
-			ctl.enqueue(request{core: c.id, bytes: s.cfg.LineBytes, isRead: true})
+			ctl.enqueue(request(c.id))
 			c.outstanding++
 		}
 	}
 }
 
 // reset clears all shared and per-core state for a fresh run in place:
-// caches are emptied and controller rings keep their backing arrays, so
-// nothing is reallocated. buildTrace resets the template core.
+// L3 fill counts are zeroed and controller rings keep their backing
+// arrays, so nothing is reallocated. buildTrace resets the template core.
 func (s *System) reset() {
 	for _, c := range s.cores {
 		c.outstanding = 0
@@ -533,7 +622,8 @@ func (s *System) reset() {
 		c.loadedBytes = 0
 	}
 	for d := range s.l3 {
-		s.l3[d].reset()
+		clear(s.l3[d].fill)
+		s.l3[d].lines = 0
 		s.ctrl[d].reset()
 	}
 	clear(s.completed)

@@ -170,19 +170,62 @@ func TestSingleCoreBelowSaturation(t *testing.T) {
 	}
 }
 
+// TestRunValidation checks that NewSystem rejects configs a run could
+// not simulate (they would panic in Cache.locate or spin until the
+// tick limit) and that runs reject out-of-range arguments.
 func TestRunValidation(t *testing.T) {
+	configs := []struct {
+		name    string
+		edit    func(c *Config)
+		wantErr bool
+	}{
+		{"node config", func(c *Config) {}, false},
+		{"no cores", func(c *Config) { c.Cores = 0 }, true},
+		{"no domains", func(c *Config) { c.Domains = 0 }, true},
+		{"L1 without ways", func(c *Config) { c.L1.Ways = 0 }, true},
+		{"L2 without sets", func(c *Config) { c.L2.LineBytes = 0 }, true},
+		{"L3 without ways", func(c *Config) { c.L3.Ways = 0 }, true},
+		{"L3 with negative ways", func(c *Config) { c.L3.Ways = -16 }, true},
+		{"L3 with 255 ways", func(c *Config) { c.L3.Ways = 255 }, false},
+		{"L3 ways beyond the fill counter", func(c *Config) { c.L3.Ways = 256 }, true},
+		{"zero MLP", func(c *Config) { c.MLP = 0 }, true},
+		{"zero CoreGBs", func(c *Config) { c.CoreGBs = 0 }, true},
+		{"negative CoreGBs", func(c *Config) { c.CoreGBs = -5 }, true},
+		{"zero DomainGBs", func(c *Config) { c.DomainGBs = 0 }, true},
+		{"NaN DomainGBs", func(c *Config) { c.DomainGBs = math.NaN() }, true},
+		{"DomainGBs below a line per two ticks", func(c *Config) { c.DomainGBs = 3 }, true},
+		{"DomainGBs at a line per two ticks", func(c *Config) { c.DomainGBs = 3.2 }, false},
+		{"negative queue cap", func(c *Config) { c.QueueCapBytes = -1 }, true},
+	}
+	for _, tc := range configs {
+		cfg := MustConfigFor("zen4")
+		tc.edit(&cfg)
+		s, err := NewSystem(cfg)
+		if (err != nil) != tc.wantErr {
+			t.Errorf("%s: NewSystem error %v, want error %v", tc.name, err, tc.wantErr)
+			continue
+		}
+		if err == nil {
+			if _, err := s.RunStoreStream(2, 64, false); err != nil {
+				t.Errorf("%s: %v", tc.name, err)
+			}
+		}
+	}
+
 	s := sys(t, "zen4")
-	if _, err := s.RunStoreStream(0, testLines, false); err == nil {
-		t.Error("zero cores must error")
+	runs := []struct {
+		name          string
+		active, lines int
+	}{
+		{"zero cores", 0, testLines},
+		{"too many cores", 200, testLines},
+		{"zero lines", 1, 0},
+		{"lines beyond one stream region", 1, int(regionLines) + 1},
 	}
-	if _, err := s.RunStoreStream(200, testLines, false); err == nil {
-		t.Error("too many cores must error")
-	}
-	if _, err := s.RunStoreStream(1, 0, false); err == nil {
-		t.Error("zero lines must error")
-	}
-	if _, err := s.RunStoreStream(1, int(regionLines)+1, false); err == nil {
-		t.Error("lines beyond one stream region must error")
+	for _, tc := range runs {
+		if _, err := s.RunStoreStream(tc.active, tc.lines, false); err == nil {
+			t.Errorf("%s must error", tc.name)
+		}
 	}
 }
 
@@ -250,11 +293,18 @@ func TestSystemReuse(t *testing.T) {
 	}
 }
 
-// TestTraceReplayPremise checks the premise of the template-core trace
-// directly: simulating a fresh private hierarchy over core i's absolute
-// addresses yields the template's outcomes with every victim shifted by
-// core i's offset. Besides the node configs it uses L1/L2 set counts (3
-// and 12) that do not divide the offsets, so sets shift too.
+// TestTraceReplayPremise checks the premises of the template-core trace
+// and of the L3 fill counters directly, for cores 0, 1, 7 and the last:
+//
+//   - simulating a fresh private hierarchy over core i's absolute
+//     addresses yields the template's outcomes with every victim's L3
+//     set shifted by core i's setOff;
+//   - no cached access touches a line that an earlier access of the same
+//     trace evicted from L2 (so no L3 lookup could hit), nor a line that
+//     any checked core touched before.
+//
+// Besides the node configs it uses L1/L2 set counts (3 and 12) that do
+// not divide the offsets, so sets shift too.
 func TestTraceReplayPremise(t *testing.T) {
 	odd := MustConfigFor("neoversev2")
 	odd.Key = "odd-sets"
@@ -283,8 +333,9 @@ func TestTraceReplayPremise(t *testing.T) {
 				t.Fatalf("%s/%s: trace has %d entries, want %d", cfg.Key, name, len(tmpl.trace), lines*len(tmpl.streams))
 			}
 			victims := 0
-			for _, core := range []int{1, 7, cfg.Cores - 1} {
-				off := tmpl.cores[core].off
+			touched := map[LineAddr]int{}
+			for _, core := range []int{0, 1, 7, cfg.Cores - 1} {
+				off, setOff := tmpl.cores[core].off, tmpl.cores[core].setOff
 				ref, err := NewSystem(cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -297,7 +348,8 @@ func TestTraceReplayPremise(t *testing.T) {
 				for k, want := range tmpl.trace {
 					if want&traceVictim != 0 {
 						victims++
-						want = want&(1<<traceFlagBits-1) | traceEntry(want.victim()+off)<<traceFlagBits
+						set := (want.victimSet() + setOff) % tmpl.l3Sets
+						want = want&(1<<traceFlagBits-1) | traceEntry(set)<<traceFlagBits
 					}
 					if got := ref.trace[k]; got != want {
 						t.Fatalf("%s/%s core %d access %d: outcome %#x, template shifted %#x", cfg.Key, name, core, k, got, want)
@@ -305,6 +357,33 @@ func TestTraceReplayPremise(t *testing.T) {
 				}
 				if ref.dirty != tmpl.dirty {
 					t.Errorf("%s/%s core %d: %d dirty lines left, template %d", cfg.Key, name, core, ref.dirty, tmpl.dirty)
+				}
+
+				// Walk the same accesses again, keeping the L2 victims.
+				ref.l1.reset()
+				ref.l2.reset()
+				ref.detector = streamDetector{TrainLen: cfg.DetectorTrainLen}
+				evicted := map[LineAddr]int{}
+				for k, e := range ref.trace {
+					st := ref.streams[k%len(ref.streams)]
+					if st.nt {
+						continue
+					}
+					a := st.base + LineAddr(k/len(ref.streams))
+					if prev, ok := evicted[a]; ok {
+						t.Fatalf("%s/%s core %d access %d: line %#x was evicted from L2 by access %d; an L3 lookup could hit", cfg.Key, name, core, k, a, prev)
+					}
+					if prev, ok := touched[a]; ok {
+						t.Fatalf("%s/%s core %d access %d: line %#x already touched by core %d", cfg.Key, name, core, k, a, prev)
+					}
+					touched[a] = core
+					flags, v := ref.privateAccess(a, st.write)
+					if flags != e&(1<<traceFlagBits-1) {
+						t.Fatalf("%s/%s core %d access %d: walk gives flags %#x, trace %#x", cfg.Key, name, core, k, flags, e)
+					}
+					if flags&traceVictim != 0 {
+						evicted[v] = k
+					}
 				}
 			}
 			if name != "nt-store" && victims == 0 {
@@ -351,13 +430,13 @@ func TestPlacementCompactVsScatter(t *testing.T) {
 func TestControllerRingFIFO(t *testing.T) {
 	// Each request carries its sequence number as its core id; a tick
 	// serves exactly one 64-byte request.
-	c := &controller{bytesPerTick: 64}
+	c := &controller{bytesPerTick: 64, lineBytes: 64}
 	const total = 64 + 40 + 10
 	completed := make([]int, total)
 	next, want := 0, 0
 	push := func(n int) {
 		for i := 0; i < n; i++ {
-			c.enqueue(request{core: next, bytes: 64, isRead: true})
+			c.enqueue(request(next))
 			next++
 		}
 	}
