@@ -199,6 +199,26 @@ func suite() map[string]func(b *testing.B) {
 			}
 		}
 	}
+	// SweepVariants is the serial expansion at the head of every sweep
+	// run: the 64-variant mem_bandwidth_gbs × tdp_watts grid over one
+	// built-in. Node-only variants derive their identity from the base
+	// (uarch.Model.ReindexFrom): one header encoding and one hash per
+	// variant, sharing the base's lookup tables.
+	variantsBench := func(arch string) func(b *testing.B) {
+		m := uarch.MustGet(arch)
+		axes := []sweep.Axis{
+			{Param: "mem_bandwidth_gbs", Values: []float64{40, 60, 80, 100, 120, 140, 160, 180}},
+			{Param: "tdp_watts", Values: []float64{150, 200, 250, 300, 350, 400, 450, 500}},
+		}
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := sweep.Variants(m, axes); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
 	glcPortValue := float64(uarch.MustGet("goldencove").LoadPorts.Count() - 1)
 	benches := map[string]func(b *testing.B){
 		"SimRun/goldencove/striad":                simBench(striadGLC, "goldencove"),
@@ -220,6 +240,8 @@ func suite() map[string]func(b *testing.B) {
 		"SweepVariantWarm/goldencove/striad":      variantBench(striadGLC, "goldencove", "mem_bandwidth_gbs", 123, 0),
 		"SweepVariantWarm/zen4/pi":                variantBench(piZen4, "zen4", "tdp_watts", 123, 0),
 		"SweepVariantPortDelta/goldencove/striad": variantBench(striadGLC, "goldencove", "load_ports", glcPortValue, 1),
+		"SweepVariants/goldencove":                variantsBench("goldencove"),
+		"SweepVariants/zen4":                      variantsBench("zen4"),
 		"CacheInsert":                             cacheInsertBench(),
 	}
 	for _, key := range []string{"neoversev2", "goldencove", "zen4"} {

@@ -12,7 +12,9 @@ package isa
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
+	"sync/atomic"
 )
 
 // Dialect selects the assembly syntax family of a block.
@@ -316,6 +318,11 @@ func (in *Instruction) String() string {
 
 // Block is a straight-line instruction sequence representing one loop body
 // (the innermost-loop kernel the in-core model analyses).
+//
+// A block is immutable once keyed: the first Key call caches the content
+// key, so Arch, Dialect and Instrs must not change afterwards (Name may
+// differ between copies; see Renamed). Callers that need a mutable block
+// take a Clone, which starts unkeyed.
 type Block struct {
 	// Name identifies the block (kernel/compiler/flags).
 	Name string
@@ -324,13 +331,45 @@ type Block struct {
 	// Dialect is the assembly syntax the block was written in.
 	Dialect Dialect
 	Instrs  []Instruction
+
+	// key caches Key; published atomically so concurrent first calls
+	// are race-free.
+	key atomic.Pointer[string]
+}
+
+// Key returns the block's content key: everything that determines an
+// analysis or simulation outcome — architecture, dialect and rendered
+// text — excluding the display name. It is computed on the first call and
+// cached; concurrent first calls may each render, but all return the same
+// value.
+func (b *Block) Key() string {
+	if k := b.key.Load(); k != nil {
+		return *k
+	}
+	// The concatenation allocates exactly the key's length; the key is
+	// retained as long as the block, so no builder slack rides along.
+	k := b.Arch + "\x00" + strconv.Itoa(int(b.Dialect)) + "\x00" + b.Text()
+	b.key.CompareAndSwap(nil, &k)
+	return *b.key.Load()
+}
+
+// Renamed returns a shallow copy of the block under another name. The
+// copy shares the instruction slice and the content key (computed here if
+// it was not yet), which the name does not enter, so the two blocks
+// retain one key string between them.
+func (b *Block) Renamed(name string) *Block {
+	b.Key()
+	nb := &Block{Name: name, Arch: b.Arch, Dialect: b.Dialect, Instrs: b.Instrs}
+	nb.key.Store(b.key.Load())
+	return nb
 }
 
 // Len returns the number of instructions in the block.
 func (b *Block) Len() int { return len(b.Instrs) }
 
 // Clone returns a deep copy of the block (operand slices and memory
-// operands are duplicated so mutations do not alias).
+// operands are duplicated so mutations do not alias). The copy is unkeyed,
+// so it may be mutated before its first Key call.
 func (b *Block) Clone() *Block {
 	nb := &Block{Name: b.Name, Arch: b.Arch, Dialect: b.Dialect}
 	nb.Instrs = make([]Instruction, len(b.Instrs))

@@ -75,8 +75,11 @@ type controller struct {
 	queue       []request
 	head, count int
 	queuedBytes int64
-	util        float64 // EMA of served/capacity
-	i2m         specI2MState
+	// util is the EMA of served/capacity. Only SpecI2M conversion reads
+	// it, so it is tracked only under that policy (trackUtil).
+	util      float64
+	trackUtil bool
+	i2m       specI2MState
 
 	ReadBytes, WriteBytes int64
 }
@@ -86,7 +89,7 @@ type controller struct {
 func (c *controller) reset() {
 	i2m := c.i2m
 	i2m.acc = 0
-	*c = controller{bytesPerTick: c.bytesPerTick, lineBytes: c.lineBytes, queue: c.queue, i2m: i2m}
+	*c = controller{bytesPerTick: c.bytesPerTick, lineBytes: c.lineBytes, queue: c.queue, trackUtil: c.trackUtil, i2m: i2m}
 }
 
 func (c *controller) enqueue(r request) {
@@ -134,8 +137,10 @@ func (c *controller) serve(completed []int) {
 		// Idle capacity does not bank beyond one tick.
 		c.budget = c.bytesPerTick
 	}
-	const alpha = 0.02
-	c.util = (1-alpha)*c.util + alpha*math.Min(1, served/c.bytesPerTick)
+	if c.trackUtil {
+		const alpha = 0.02
+		c.util = (1-alpha)*c.util + alpha*math.Min(1, served/c.bytesPerTick)
+	}
 }
 
 type simCore struct {
@@ -250,7 +255,8 @@ func NewSystem(cfg Config) (*System, error) {
 	}
 	for d := 0; d < cfg.Domains; d++ {
 		s.l3 = append(s.l3, l3Slice{fill: make([]uint8, s.l3Sets)})
-		ctl := &controller{bytesPerTick: cfg.DomainGBs * TickSeconds * 1e9, lineBytes: cfg.LineBytes}
+		ctl := &controller{bytesPerTick: cfg.DomainGBs * TickSeconds * 1e9, lineBytes: cfg.LineBytes,
+			trackUtil: cfg.Policy == PolicySpecI2M}
 		ctl.i2m = specI2MState{Threshold: cfg.SpecI2MThreshold, MaxShare: cfg.SpecI2MMaxShare, RampEnd: cfg.SpecI2MRampEnd}
 		s.ctrl = append(s.ctrl, ctl)
 	}

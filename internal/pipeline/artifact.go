@@ -217,8 +217,8 @@ func CompileProgram(b *isa.Block, m *uarch.Model) (*sim.Program, error) {
 // rather than verbatim so the cache does not retain a second copy of
 // every listing. Cached blocks are shared and must be treated as
 // immutable; when the cached block was first parsed under a different
-// name, the returned block is a shallow copy carrying the requested name
-// over the shared instruction slice.
+// name, the returned block is a Renamed copy carrying the requested name
+// over the shared instruction slice and content key.
 func ParseRequestBlock(name, arch string, d isa.Dialect, asm string) (*isa.Block, error) {
 	sum := sha256.Sum256([]byte(asm))
 	key := "block\x00" + arch + "\x00" + strconv.Itoa(int(d)) + "\x00" + hex.EncodeToString(sum[:])
@@ -228,9 +228,7 @@ func ParseRequestBlock(name, arch string, d isa.Dialect, asm string) (*isa.Block
 		return nil, err
 	}
 	if b.Name != name {
-		labeled := *b
-		labeled.Name = name
-		return &labeled, nil
+		return b.Renamed(name), nil
 	}
 	return b, nil
 }

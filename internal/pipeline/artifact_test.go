@@ -209,6 +209,9 @@ func TestParseRequestBlockSharesInstrs(t *testing.T) {
 	if len(b1.Instrs) == 0 || &b1.Instrs[0] != &b2.Instrs[0] {
 		t.Error("identical request text must share one parsed instruction slice")
 	}
+	if BlockKey(b1) != BlockKey(b2) {
+		t.Error("a renamed parse must keep the block's content key")
+	}
 	// Same text, same name: the cached pointer itself comes back.
 	b3, err := ParseRequestBlock("alpha", "zen4", uarch.MustGet("zen4").Dialect, asm)
 	if err != nil {

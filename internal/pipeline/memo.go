@@ -31,8 +31,9 @@ import (
 
 // BlockKey returns the content key of a block: everything that determines
 // an analysis or simulation outcome, excluding the display name.
+// It is the block's cached isa.Block.Key.
 func BlockKey(b *isa.Block) string {
-	return b.Arch + "\x00" + strconv.Itoa(int(b.Dialect)) + "\x00" + b.Text()
+	return b.Key()
 }
 
 // simConfigKey folds every outcome-affecting Config field into the key.
@@ -145,23 +146,45 @@ func CellOf(res *core.Result) Cell {
 	return c
 }
 
-// AnalyzeCellWarm is the design-space sweep's analysis entry point: it
-// memoizes (and, with a store attached, persists) the Cell projection of
-// one analysis, keyed like AnalyzeWarm by (analyzer options, model cache
-// key, block content) — the full Model.CacheKey, never the port
-// signature, so a sweep is warm-resumable per variant and a variant's
-// cells can never collide with the built-in scenario sharing its key.
+// CellAnalyzer is the design-space sweep's analysis entry point for one
+// (analyzer options, model variant) pair: it memoizes (and, with a store
+// attached, persists) the Cell projection of each block's analysis,
+// keyed like AnalyzeWarm by (analyzer options, model cache key, block
+// content) — the full Model.CacheKey, never the port signature, so a
+// sweep is warm-resumable per variant and a variant's cells can never
+// collide with the built-in scenario sharing its key. The key prefix
+// naming the pair is built once, when the CellAnalyzer is made, and
+// every cell's key appends only the block's cached content key.
+//
 // Cold cells compute through the zero-allocation AnalyzeInternal arena
 // path: the arena-owned Result is projected to a value Cell before the
 // compute closure returns, so no arena memory escapes into the memo
-// tier. ar is bound to the calling goroutine like any InternalArena.
-// warm reports provenance exactly as AnalyzeWarm does.
-func AnalyzeCellWarm(an *core.Analyzer, b *isa.Block, m *uarch.Model, ar *InternalArena) (Cell, bool, error) {
-	key := "sweepcell\x00" + an.Fingerprint() + "\x00" + m.CacheKey() + "\x00" + BlockKey(b)
+// tier. A CellAnalyzer owns its arena and is therefore bound to one
+// goroutine at a time.
+type CellAnalyzer struct {
+	an     *core.Analyzer
+	m      *uarch.Model
+	prefix string
+	ar     InternalArena
+}
+
+// NewCellAnalyzer returns the cell analyzer for an and m; neither may
+// change while it is in use.
+func NewCellAnalyzer(an *core.Analyzer, m *uarch.Model) *CellAnalyzer {
+	return &CellAnalyzer{
+		an:     an,
+		m:      m,
+		prefix: "sweepcell\x00" + an.Fingerprint() + "\x00" + m.CacheKey() + "\x00",
+	}
+}
+
+// AnalyzeWarm returns b's cell; warm reports provenance exactly as
+// AnalyzeWarm does.
+func (c *CellAnalyzer) AnalyzeWarm(b *isa.Block) (Cell, bool, error) {
 	computed := false
-	cell, err := doStoredJSON(shared, key, func() (Cell, error) {
+	cell, err := doStoredJSON(shared, c.prefix+BlockKey(b), func() (Cell, error) {
 		computed = true
-		res, err := AnalyzeInternal(an, b, m, ar)
+		res, err := AnalyzeInternal(c.an, b, c.m, &c.ar)
 		if err != nil {
 			return Cell{}, err
 		}

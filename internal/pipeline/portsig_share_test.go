@@ -153,8 +153,8 @@ func TestSweepCellWarmProvenance(t *testing.T) {
 	withFreshTiers(t, t.TempDir())
 	m, an, tb := genBlock(t, "zen4", "striad")
 
-	ar := &InternalArena{}
-	c1, warm, err := AnalyzeCellWarm(an, tb.Block, m, ar)
+	cells := NewCellAnalyzer(an, m)
+	c1, warm, err := cells.AnalyzeWarm(tb.Block)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestSweepCellWarmProvenance(t *testing.T) {
 	if c1.Prediction <= 0 || c1.Bound == "" {
 		t.Fatalf("implausible cell: %+v", c1)
 	}
-	c2, warm, err := AnalyzeCellWarm(an, tb.Block, m, ar)
+	c2, warm, err := cells.AnalyzeWarm(tb.Block)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestSweepCellWarmProvenance(t *testing.T) {
 	if err := v.Reindex(); err != nil {
 		t.Fatal(err)
 	}
-	cv, warm, err := AnalyzeCellWarm(an, tb.Block, v, ar)
+	cv, warm, err := NewCellAnalyzer(an, v).AnalyzeWarm(tb.Block)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -217,9 +217,9 @@ func Run(base *uarch.Model, axes []Axis, blocks []Block, opt Options) (*Result, 
 }
 
 // runVariant analyzes every block for one variant and projects its
-// node-level metrics. Each call owns its InternalArena: the arena is
-// single-goroutine state, and one variant's blocks run serially within
-// the pool worker.
+// node-level metrics. Each call owns its CellAnalyzer, which carries the
+// variant's memo-key prefix and a single-goroutine arena: one variant's
+// blocks run serially within the pool worker.
 func runVariant(an *core.Analyzer, v *Variant, blocks []Block) (VariantResult, error) {
 	m := v.Model
 	row := VariantResult{
@@ -229,7 +229,7 @@ func runVariant(an *core.Analyzer, v *Variant, blocks []Block) (VariantResult, e
 		PortSignature: m.PortSignature()[:12],
 		Predictions:   make([]float64, len(blocks)),
 	}
-	ar := &pipeline.InternalArena{}
+	cells := pipeline.NewCellAnalyzer(an, m)
 	var em *ecm.Model
 	if m.Node != nil && m.Node.ECM != nil {
 		if e, err := ecm.ForModel(m); err == nil {
@@ -237,7 +237,7 @@ func runVariant(an *core.Analyzer, v *Variant, blocks []Block) (VariantResult, e
 		}
 	}
 	for i, blk := range blocks {
-		cell, warm, err := pipeline.AnalyzeCellWarm(an, blk.B, m, ar)
+		cell, warm, err := cells.AnalyzeWarm(blk.B)
 		if err != nil {
 			return VariantResult{}, fmt.Errorf("sweep: variant %d (%s), block %s: %w",
 				v.Index, FormatParams(v.Params), blk.Name, err)

@@ -251,10 +251,12 @@ func FormatParams(ps []ParamValue) string {
 }
 
 // applyParams clones the base model, applies the assignment, and
-// reindexes the clone (rebuilding its lookup tables, fingerprint, and
-// port signature). The clone is deep where mutation reaches — the port
-// list and the node section — and shares the immutable rest (entries,
-// maps rebuilt by Reindex).
+// reindexes the clone from the base (uarch.Model.ReindexFrom): a
+// node-only assignment shares the base's lookup tables and port
+// signature and hashes only its own header ahead of the base's encoded
+// instruction table; any other rebuilds them. The clone is deep where
+// mutation reaches — the port list and the node section — and shares
+// the immutable rest (entries, maps rebuilt or shared by ReindexFrom).
 func applyParams(base *uarch.Model, ps []ParamValue) (*uarch.Model, error) {
 	m := cloneForMutation(base)
 	for _, p := range ps {
@@ -262,7 +264,7 @@ func applyParams(base *uarch.Model, ps []ParamValue) (*uarch.Model, error) {
 			return nil, err
 		}
 	}
-	if err := m.Reindex(); err != nil {
+	if err := m.ReindexFrom(base); err != nil {
 		return nil, err
 	}
 	return m, nil

@@ -1,7 +1,6 @@
 package uarch
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -18,7 +17,18 @@ import (
 //
 // Port masks are serialized as port-name lists for readability.
 
+// machineFile is the whole machine file. The wire form is split in two
+// so a variant that shares its base's instruction table can reuse the
+// base's encoding of it (see Model.ReindexFrom): machineHeader is
+// everything before "instructions", and the instruction table is the
+// tail. Embedding keeps the decoded and encoded field order of the whole
+// file exactly the header's fields followed by the table.
 type machineFile struct {
+	machineHeader
+	Entries []machineEntry `json:"instructions"`
+}
+
+type machineHeader struct {
 	Key     string `json:"key"`
 	Name    string `json:"name"`
 	CPU     string `json:"cpu"`
@@ -54,8 +64,6 @@ type machineFile struct {
 	Node *machineNode `json:"node,omitempty"`
 
 	Unknown *machineUnknown `json:"unknown,omitempty"`
-
-	Entries []machineEntry `json:"instructions"`
 }
 
 // machineUnknown is the optional unknown-instruction policy: the
@@ -202,9 +210,24 @@ func kindFromName(s string) (UopKind, error) {
 	}
 }
 
-// WriteJSON serializes the model as a machine file.
+// WriteJSON serializes the model as a machine file: the header encoding
+// followed by the instruction-table tail.
 func (m *Model) WriteJSON(w io.Writer) error {
-	mf := machineFile{
+	h, err := m.header()
+	if err != nil {
+		return err
+	}
+	t, err := m.tail()
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(append(h, t...))
+	return err
+}
+
+// headerWire returns the machine-file fields before "instructions".
+func (m *Model) headerWire() machineHeader {
+	h := machineHeader{
 		Key: m.Key, Name: m.Name, CPU: m.CPU, Vendor: m.Vendor,
 		Dialect: m.Dialect.String(), Ports: m.Ports,
 		IssueWidth: m.IssueWidth, DecodeWidth: m.DecodeWidth,
@@ -222,10 +245,20 @@ func (m *Model) WriteJSON(w io.Writer) error {
 		Node: nodeToWire(m.Node),
 	}
 	if u := m.Unknown; u != nil {
-		mf.Unknown = &machineUnknown{Ports: m.maskNames(u.Ports), Lat: u.Lat, Cycles: u.Cycles}
+		h.Unknown = &machineUnknown{Ports: m.maskNames(u.Ports), Lat: u.Lat, Cycles: u.Cycles}
 	}
+	return h
+}
+
+// entriesWire returns the instruction table in wire form; notes=false
+// drops the provenance notes (the port signature's view).
+func (m *Model) entriesWire(notes bool) []machineEntry {
+	var out []machineEntry
 	for _, e := range m.Entries {
-		me := machineEntry{Mnemonic: e.Mnemonic, Sig: e.Sig, Width: e.Width, Lat: e.Lat, Notes: e.Notes}
+		me := machineEntry{Mnemonic: e.Mnemonic, Sig: e.Sig, Width: e.Width, Lat: e.Lat}
+		if notes {
+			me.Notes = e.Notes
+		}
 		for _, u := range e.Uops {
 			me.Uops = append(me.Uops, machineUop{
 				Ports: m.maskNames(u.Ports), Cycles: u.Cycles, Kind: kindName(u.Kind),
@@ -234,11 +267,38 @@ func (m *Model) WriteJSON(w io.Writer) error {
 		if me.Uops == nil {
 			me.Uops = []machineUop{}
 		}
-		mf.Entries = append(mf.Entries, me)
+		out = append(out, me)
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(mf)
+	return out
+}
+
+// The machine file is one JSON object indented by two spaces, with
+// "instructions" its last member. header encodes the object up to and
+// including that member's name; tail encodes the member's value at
+// nesting depth one and closes the object. Their concatenation is byte
+// for byte what encoding the whole machineFile with an indenting
+// json.Encoder writes: MarshalIndent of the header object differs from
+// the whole object's encoding only by its closing "\n}", and MarshalIndent
+// with prefix "  " renders the table exactly as it nests one level deep.
+
+// header encodes the machine file up to the instruction table.
+func (m *Model) header() ([]byte, error) {
+	h, err := json.MarshalIndent(m.headerWire(), "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	return append(h[:len(h)-len("\n}")], ",\n  \"instructions\": "...), nil
+}
+
+// tail encodes the instruction table and closes the machine file. It
+// depends on the entries and on the port names their masks reference,
+// nothing else.
+func (m *Model) tail() ([]byte, error) {
+	t, err := json.MarshalIndent(m.entriesWire(true), "  ", "  ")
+	if err != nil {
+		return nil, err
+	}
+	return append(t, "\n}\n"...), nil
 }
 
 func (m *Model) maskNames(mask PortMask) []string {
@@ -346,13 +406,26 @@ func ReadJSON(r io.Reader) (*Model, error) {
 // representation — so equal model content always yields equal bytes and
 // therefore equal fingerprints, across processes and builds.
 func (m *Model) computeFingerprint() string {
-	var buf bytes.Buffer
-	if err := m.WriteJSON(&buf); err != nil {
-		// WriteJSON only fails on writer errors; a bytes.Buffer has none.
+	t, err := m.tail()
+	if err != nil {
+		// Encoding fails only on values JSON cannot carry (NaN, ±Inf).
 		panic(fmt.Sprintf("uarch: fingerprint %s: %v", m.Key, err))
 	}
-	sum := sha256.Sum256(buf.Bytes())
-	return hex.EncodeToString(sum[:])
+	return m.fingerprintWithTail(t)
+}
+
+// fingerprintWithTail hashes the model's header followed by tail, which
+// must be the model's instruction-table encoding (possibly a shared
+// copy).
+func (m *Model) fingerprintWithTail(tail []byte) string {
+	h, err := m.header()
+	if err != nil {
+		panic(fmt.Sprintf("uarch: fingerprint %s: %v", m.Key, err))
+	}
+	sum := sha256.New()
+	sum.Write(h)
+	sum.Write(tail)
+	return hex.EncodeToString(sum.Sum(nil))
 }
 
 // portFile is the canonical wire subset behind Model.PortSignature: every
@@ -409,20 +482,9 @@ func (m *Model) computePortSignature() string {
 	if u := m.Unknown; u != nil {
 		pf.Unknown = &machineUnknown{Ports: m.maskNames(u.Ports), Lat: u.Lat, Cycles: u.Cycles}
 	}
-	for _, e := range m.Entries {
-		// Notes are provenance documentation, not modeling content: a
-		// comment edit must not invalidate shared artifacts.
-		me := machineEntry{Mnemonic: e.Mnemonic, Sig: e.Sig, Width: e.Width, Lat: e.Lat}
-		for _, u := range e.Uops {
-			me.Uops = append(me.Uops, machineUop{
-				Ports: m.maskNames(u.Ports), Cycles: u.Cycles, Kind: kindName(u.Kind),
-			})
-		}
-		if me.Uops == nil {
-			me.Uops = []machineUop{}
-		}
-		pf.Entries = append(pf.Entries, me)
-	}
+	// Notes are provenance documentation, not modeling content: a
+	// comment edit must not invalidate shared artifacts.
+	pf.Entries = m.entriesWire(false)
 	data, err := json.Marshal(pf)
 	if err != nil {
 		panic(fmt.Sprintf("uarch: port signature %s: %v", m.Key, err))

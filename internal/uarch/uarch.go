@@ -19,6 +19,7 @@ import (
 	"math"
 	"math/bits"
 	"strings"
+	"sync"
 
 	"incore/internal/isa"
 )
@@ -214,6 +215,31 @@ type Model struct {
 	// the Unknown policy so every degraded lookup of this model returns
 	// the identical (deterministic, shared, read-only) µ-op list.
 	unknown Entry
+	// tailCache lazily holds the instruction-table tail of the
+	// machine-file encoding for variants derived with ReindexFrom.
+	// buildIndex gives every model a fresh one; a derived variant shares
+	// its base's.
+	tailCache *encodedTail
+}
+
+// encodedTail holds a model's encoded instruction-table tail, computed on
+// first use.
+type encodedTail struct {
+	once  sync.Once
+	bytes []byte
+}
+
+// cachedTail returns the model's encoded instruction-table tail. The
+// model is indexed, so its fingerprint already encoded the tail once.
+func (m *Model) cachedTail() []byte {
+	m.tailCache.once.Do(func() {
+		t, err := m.tail()
+		if err != nil {
+			panic(fmt.Sprintf("uarch: machine file %s: %v", m.Key, err))
+		}
+		m.tailCache.bytes = t
+	})
+	return m.tailCache.bytes
 }
 
 // UnknownPolicy configures the descriptor synthesized for instructions a
@@ -299,6 +325,7 @@ func (m *Model) buildIndex() {
 	addMask(ports)
 	m.fingerprint = m.computeFingerprint()
 	m.portsig = m.computePortSignature()
+	m.tailCache = &encodedTail{}
 }
 
 // unknownPolicy resolves the unknown-instruction policy with defaults
@@ -329,6 +356,58 @@ func (m *Model) Reindex() error {
 	}
 	m.buildIndex()
 	return nil
+}
+
+// ReindexFrom is Reindex for a model cloned from base and then mutated,
+// as a design-space sweep builds its variants. It always revalidates.
+// When the mutation left the in-core subset untouched — the fields
+// PortSignature covers, with the entry table still base's own slice — the
+// lookup index, port tables, unknown descriptor and port signature are
+// base's, so they are shared rather than rebuilt, and the fingerprint
+// hashes the model's own header followed by base's cached encoding of
+// the instruction table: the tail depends only on the entries and the
+// port names, both unchanged, so the hashed bytes are exactly WriteJSON's
+// and the fingerprint equals what Reindex computes. Any other mutation
+// (a port-count change, a ROB resize) takes the full Reindex path.
+func (m *Model) ReindexFrom(base *Model) error {
+	if err := m.Validate(); err != nil {
+		return err
+	}
+	if base.tailCache == nil || !m.sameInCore(base) {
+		m.buildIndex()
+		return nil
+	}
+	m.index, m.portIdx, m.unknown, m.portsig = base.index, base.portIdx, base.unknown, base.portsig
+	m.tailCache = base.tailCache
+	m.fingerprint = m.fingerprintWithTail(base.cachedTail())
+	return nil
+}
+
+// sameInCore reports whether m and base agree on every field the port
+// signature and the instruction-table tail encode, with m's entry table
+// being base's own slice.
+func (m *Model) sameInCore(base *Model) bool {
+	if m.Dialect != base.Dialect || len(m.Ports) != len(base.Ports) ||
+		len(m.Entries) != len(base.Entries) ||
+		(len(m.Entries) > 0 && &m.Entries[0] != &base.Entries[0]) {
+		return false
+	}
+	for i := range m.Ports {
+		if m.Ports[i] != base.Ports[i] {
+			return false
+		}
+	}
+	if (m.Unknown == nil) != (base.Unknown == nil) || (m.Unknown != nil && *m.Unknown != *base.Unknown) {
+		return false
+	}
+	return m.IssueWidth == base.IssueWidth && m.DecodeWidth == base.DecodeWidth &&
+		m.RetireWidth == base.RetireWidth && m.ROBSize == base.ROBSize &&
+		m.SchedSize == base.SchedSize && m.PhysVecRegs == base.PhysVecRegs &&
+		m.PhysGPRegs == base.PhysGPRegs &&
+		m.LoadPorts == base.LoadPorts && m.StoreAGUPorts == base.StoreAGUPorts &&
+		m.StoreDataPorts == base.StoreDataPorts && m.LoadLat == base.LoadLat &&
+		m.LoadWidthBits == base.LoadWidthBits && m.StoreWidthBits == base.StoreWidthBits &&
+		m.WideLoadPorts == base.WideLoadPorts && m.WideLoadBits == base.WideLoadBits
 }
 
 // Fingerprint returns the model's content fingerprint: the sha256 hex

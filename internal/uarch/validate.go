@@ -71,7 +71,7 @@ func (m *Model) Validate() error {
 			return fmt.Errorf("uarch: model %s: unknown-instruction policy has negative cycles", m.Key)
 		}
 	}
-	seen := map[entryKey]bool{}
+	seen := make(map[entryKey]bool, len(m.Entries))
 	for i := range m.Entries {
 		e := &m.Entries[i]
 		if e.Mnemonic == "" {
