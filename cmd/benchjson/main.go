@@ -245,13 +245,22 @@ func suite() map[string]func(b *testing.B) {
 		"CacheInsert":                             cacheInsertBench(),
 	}
 	for _, key := range []string{"neoversev2", "goldencove", "zen4"} {
-		benches["MemsimStoreStream/"+key] = memsimBench(key, func(s *memsim.System, cores int) (memsim.TrafficResult, error) {
+		cores := memsim.MustConfigFor(key).Cores
+		benches["MemsimStoreStream/"+key] = memsimBench(key, cores, func(s *memsim.System, cores int) (memsim.TrafficResult, error) {
 			return s.RunStoreStream(cores, memsimLinesPerCore, false)
 		})
-		benches["MemsimTriad/"+key] = memsimBench(key, func(s *memsim.System, cores int) (memsim.TrafficResult, error) {
+		benches["MemsimTriad/"+key] = memsimBench(key, cores, func(s *memsim.System, cores int) (memsim.TrafficResult, error) {
 			return s.RunTriad(cores, memsimLinesPerCore, key != "neoversev2")
 		})
 	}
+	// The full-socket rows saturate the controllers, so their state never
+	// repeats; these core-bound runs are the ones the fast-forward skips.
+	benches["MemsimStoreStreamPeriodic/neoversev2"] = memsimBench("neoversev2", 32, func(s *memsim.System, cores int) (memsim.TrafficResult, error) {
+		return s.RunStoreStream(cores, memsimLinesPerCore, false)
+	})
+	benches["MemsimStoreStreamPeriodic/zen4"] = memsimBench("zen4", 64, func(s *memsim.System, cores int) (memsim.TrafficResult, error) {
+		return s.RunStoreStream(cores, memsimLinesPerCore, true)
+	})
 	return benches
 }
 
@@ -259,23 +268,24 @@ func suite() map[string]func(b *testing.B) {
 // small enough that one full-socket run takes milliseconds.
 const memsimLinesPerCore = 1024
 
-// memsimBench runs one full-socket workload per iteration on a single
+// memsimBench runs one workload on cores cores per iteration on a single
 // System reused across iterations — the steady state of a Fig. 4 curve or
-// a Table I sweep. One warmup run sizes the controller queues first, so
-// the measured loop allocates neither queue growth nor caches.
-func memsimBench(key string, run func(s *memsim.System, cores int) (memsim.TrafficResult, error)) func(b *testing.B) {
+// a Table I sweep. One warmup run sizes the controller queues and the
+// fast-forward snapshot first, so the measured loop allocates neither
+// queue growth nor caches.
+func memsimBench(key string, cores int, run func(s *memsim.System, cores int) (memsim.TrafficResult, error)) func(b *testing.B) {
 	cfg := memsim.MustConfigFor(key)
 	s, err := memsim.NewSystem(cfg)
 	if err != nil {
 		panic(err)
 	}
-	if _, err := run(s, cfg.Cores); err != nil {
+	if _, err := run(s, cores); err != nil {
 		panic(err)
 	}
 	return func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := run(s, cfg.Cores); err != nil {
+			if _, err := run(s, cores); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -57,24 +57,29 @@ const (
 	PlacementCompact
 )
 
-// request is one cache line queued at a controller: the id of the core
-// that reads it, or writeReq for a writeback or a non-temporal store.
-type request int32
-
-const writeReq request = -1
+// lineRun is a run of consecutive lines in a controller queue: reads lines
+// read by core, then writes anonymous lines (writebacks and non-temporal
+// stores). A run whose reads are all served has core -1, so two queues
+// hold the same lines in the same order exactly when their runs are equal.
+type lineRun struct {
+	core          int32
+	reads, writes int
+}
 
 type controller struct {
 	bytesPerTick float64
-	// lineBytes is the size of every request.
+	// lineBytes is the size of every queued line.
 	lineBytes int
 	budget    float64
-	// queue is a FIFO ring: count requests starting at queue[head],
-	// wrapping at len(queue). It doubles when full and is never shrunk,
-	// so a reused controller stops allocating once it has seen its
-	// deepest queue.
-	queue       []request
+	// queue is a FIFO ring of runs: count runs starting at queue[head],
+	// wrapping at len(queue), holding lines lines in all. A line joins the
+	// tail run when it can (a read of the tail's core behind no write, or
+	// any write), so the runs are the maximal ones. The ring doubles when
+	// full and is never shrunk, so a reused controller stops allocating
+	// once it has seen its deepest queue.
+	queue       []lineRun
 	head, count int
-	queuedBytes int64
+	lines       int
 	// util is the EMA of served/capacity. Only SpecI2M conversion reads
 	// it, so it is tracked only under that policy (trackUtil).
 	util      float64
@@ -92,46 +97,99 @@ func (c *controller) reset() {
 	*c = controller{bytesPerTick: c.bytesPerTick, lineBytes: c.lineBytes, queue: c.queue, trackUtil: c.trackUtil, i2m: i2m}
 }
 
-func (c *controller) enqueue(r request) {
+// at returns the slot i places behind the oldest run.
+func (c *controller) at(i int) *lineRun {
+	if i += c.head; i >= len(c.queue) {
+		i -= len(c.queue)
+	}
+	return &c.queue[i]
+}
+
+// enqueueRead queues one line read by core.
+func (c *controller) enqueueRead(core int32) {
+	c.lines++
+	if c.count > 0 {
+		if t := c.at(c.count - 1); t.core == core && t.writes == 0 {
+			t.reads++
+			return
+		}
+	}
+	c.push(lineRun{core: core, reads: 1})
+}
+
+// enqueueWrites queues n anonymous lines.
+func (c *controller) enqueueWrites(n int) {
+	if n == 0 {
+		return
+	}
+	c.lines += n
+	if c.count > 0 {
+		c.at(c.count - 1).writes += n
+		return
+	}
+	c.push(lineRun{core: -1, writes: n})
+}
+
+func (c *controller) push(r lineRun) {
 	if c.count == len(c.queue) {
 		c.grow()
 	}
-	i := c.head + c.count
-	if i >= len(c.queue) {
-		i -= len(c.queue)
-	}
-	c.queue[i] = r
+	*c.at(c.count) = r
 	c.count++
-	c.queuedBytes += int64(c.lineBytes)
 }
 
-// grow doubles the ring, unwrapping it so the oldest request lands at 0.
+// grow doubles the ring, unwrapping it so the oldest run lands at 0.
 func (c *controller) grow() {
-	q := make([]request, max(64, 2*len(c.queue)))
+	q := make([]lineRun, max(64, 2*len(c.queue)))
 	n := copy(q, c.queue[c.head:])
 	copy(q[n:], c.queue[:c.head])
 	c.queue, c.head = q, 0
 }
 
-// serve advances one tick, returning per-core completed read counts.
-func (c *controller) serve(completed []int) {
+// serve advances one tick: it serves as many queued lines as the budget
+// covers, oldest first, and retires each served read at its core.
+//
+// One line at a time, a tick serves while a line is queued and the budget
+// holds a line, subtracting lineBytes per line. That is n = min(lines,
+// ⌊budget/lineBytes⌋) lines, and ⌊budget/lineBytes⌋ = ⌊⌊budget⌋/lineBytes⌋
+// for an integer lineBytes, which integer division computes exactly.
+// Subtracting n·lineBytes at once gives the same bits as n subtractions:
+// validate keeps the budget below 2^53, where its ulp is at most 1, so
+// every line-by-line difference is a multiple of that ulp no larger than
+// the budget, hence exact, and so is their sum. served is an integer
+// below 2^53 either way.
+func (c *controller) serve(cores []*simCore) {
 	c.budget += c.bytesPerTick
-	served := 0.0
-	for c.count > 0 && c.budget >= float64(c.lineBytes) {
-		r := c.queue[c.head]
-		if c.head++; c.head == len(c.queue) {
-			c.head = 0
+	n := min(c.lines, int(c.budget)/c.lineBytes)
+	if n > 0 {
+		c.budget -= float64(n * c.lineBytes)
+		c.lines -= n
+		reads := 0
+		for left := n; left > 0; {
+			r := &c.queue[c.head]
+			if r.reads > 0 {
+				m := min(left, r.reads)
+				r.reads -= m
+				left -= m
+				reads += m
+				cores[r.core].outstanding -= m
+				if r.reads > 0 {
+					break
+				}
+				r.core = -1
+			}
+			m := min(left, r.writes)
+			r.writes -= m
+			left -= m
+			if r.writes == 0 {
+				if c.head++; c.head == len(c.queue) {
+					c.head = 0
+				}
+				c.count--
+			}
 		}
-		c.count--
-		c.queuedBytes -= int64(c.lineBytes)
-		c.budget -= float64(c.lineBytes)
-		served += float64(c.lineBytes)
-		if r != writeReq {
-			c.ReadBytes += int64(c.lineBytes)
-			completed[r]++
-		} else {
-			c.WriteBytes += int64(c.lineBytes)
-		}
+		c.ReadBytes += int64(reads) * int64(c.lineBytes)
+		c.WriteBytes += int64(n-reads) * int64(c.lineBytes)
 	}
 	if c.budget > c.bytesPerTick {
 		// Idle capacity does not bank beyond one tick.
@@ -139,12 +197,12 @@ func (c *controller) serve(completed []int) {
 	}
 	if c.trackUtil {
 		const alpha = 0.02
-		c.util = (1-alpha)*c.util + alpha*math.Min(1, served/c.bytesPerTick)
+		c.util = (1-alpha)*c.util + alpha*math.Min(1, float64(n*c.lineBytes)/c.bytesPerTick)
 	}
 }
 
 type simCore struct {
-	id     int
+	id     int32
 	domain int
 	// off shifts the template core's addresses into this core's region;
 	// setOff is off mod the L3 set count, the same shift in L3 sets.
@@ -195,14 +253,16 @@ func (e traceEntry) victimSet() uint64 { return uint64(e >> traceFlagBits) }
 // observe of it: how many lines each set holds. See buildTrace for why
 // that is exact.
 type l3Slice struct {
-	fill  []uint8 // valid lines per set
-	lines int     // valid lines in all sets
+	fill      []uint8 // valid lines per set
+	lines     int     // valid lines in all sets
+	evictions int64   // inserts that found their set full
 }
 
 // insert allocates a dirty line in set and reports whether that evicts a
 // dirty line, which it does exactly when the set is full.
 func (l *l3Slice) insert(set uint64, ways uint8) bool {
 	if l.fill[set] == ways {
+		l.evictions++
 		return true
 	}
 	l.fill[set]++
@@ -223,8 +283,10 @@ type System struct {
 	l3Ways uint8
 	ctrl   []*controller
 	ticks  int64
-	// completed counts each core's reads served in the current tick.
-	completed []int
+	// capLines is the most lines a controller may hold and still accept
+	// an issue: QueueCapBytes/LineBytes, rounded down.
+	capLines int
+	ff       fastForward
 
 	// l1, l2 and detector are the template core's private hierarchy.
 	l1, l2   *Cache
@@ -246,12 +308,12 @@ func NewSystem(cfg Config) (*System, error) {
 		return nil, err
 	}
 	s := &System{
-		cfg:       cfg,
-		completed: make([]int, cfg.Cores),
-		l1:        NewCache(cfg.L1),
-		l2:        NewCache(cfg.L2),
-		l3Sets:    uint64(cfg.L3.Sets()),
-		l3Ways:    uint8(cfg.L3.Ways),
+		cfg:      cfg,
+		capLines: int(cfg.QueueCapBytes / int64(cfg.LineBytes)),
+		l1:       NewCache(cfg.L1),
+		l2:       NewCache(cfg.L2),
+		l3Sets:   uint64(cfg.L3.Sets()),
+		l3Ways:   uint8(cfg.L3.Ways),
 	}
 	for d := 0; d < cfg.Domains; d++ {
 		s.l3 = append(s.l3, l3Slice{fill: make([]uint8, s.l3Sets)})
@@ -262,7 +324,7 @@ func NewSystem(cfg Config) (*System, error) {
 	}
 	for i := 0; i < cfg.Cores; i++ {
 		off := LineAddr(i) * 8 * regionLines
-		s.cores = append(s.cores, &simCore{id: i, off: off, setOff: uint64(off) % s.l3Sets})
+		s.cores = append(s.cores, &simCore{id: int32(i), off: off, setOff: uint64(off) % s.l3Sets})
 	}
 	return s, nil
 }
@@ -289,9 +351,19 @@ func (cfg Config) validate() error {
 			cfg.MLP, cfg.CoreGBs, cfg.DomainGBs, cfg.QueueCapBytes)
 	}
 	// A controller banks at most two ticks of budget, so a slower one
-	// never serves a line.
-	if 2*cfg.DomainGBs*TickSeconds*1e9 < float64(cfg.LineBytes) {
-		return fmt.Errorf("memsim: bad config: DomainGBs=%g serves less than one %d-byte line per two ticks", cfg.DomainGBs, cfg.LineBytes)
+	// never serves a line, and a faster one than 2^52 bytes per tick
+	// would leave the budget's exact integer range (see serve).
+	if bpt := cfg.DomainGBs * TickSeconds * 1e9; 2*bpt < float64(cfg.LineBytes) || bpt >= 1<<52 {
+		return fmt.Errorf("memsim: bad config: DomainGBs=%g serves less than one %d-byte line per two ticks or more than 2^52 bytes per tick", cfg.DomainGBs, cfg.LineBytes)
+	}
+	// A NaN share would silently never convert; a residual share above 1
+	// would grow ntResidAcc without bound at one RFO per store.
+	if !(cfg.NTResidualRFO >= 0 && cfg.NTResidualRFO <= 1) {
+		return fmt.Errorf("memsim: bad config: NTResidualRFO=%g outside [0, 1]", cfg.NTResidualRFO)
+	}
+	if !(cfg.SpecI2MThreshold >= 0 && cfg.SpecI2MMaxShare >= 0 && cfg.SpecI2MRampEnd >= 0) {
+		return fmt.Errorf("memsim: bad config: SpecI2M threshold=%g max share=%g ramp end=%g must be non-negative numbers",
+			cfg.SpecI2MThreshold, cfg.SpecI2MMaxShare, cfg.SpecI2MRampEnd)
 	}
 	return nil
 }
@@ -379,35 +451,34 @@ func (s *System) run(active, linesPerCore int, streams []workStream) (TrafficRes
 	// Issue rate: CoreGBs of *stored* bytes per second translates into
 	// iterations/tick; each iteration touches len(streams) lines.
 	linesPerTickStored := s.cfg.CoreGBs * TickSeconds * 1e9 / float64(s.cfg.LineBytes)
+	s.ff.start(linesPerTickStored)
 
-	completed := s.completed
-	var res TrafficResult
-	res.ActiveCores = active
-
-	maxTicks := int64(200_000_000)
+	const maxTicks = int64(200_000_000)
+	running := active // cores not done
 	flushed := false
 	for tick := int64(0); ; tick++ {
+		if running == active && s.ff.period > 0 && tick%s.ff.period == 0 {
+			tick += s.fastForward(act, linesPerCore)
+		}
 		if tick > maxTicks {
 			return TrafficResult{}, fmt.Errorf("memsim: %s: run did not converge within %d ticks", s.cfg.Key, maxTicks)
 		}
-		allDone := true
+		allDone := running == 0
 		for _, c := range act {
 			if c.done {
 				continue
 			}
-			allDone = false
 			c.issueAcc += linesPerTickStored
-			for c.issueAcc >= 1 && !c.done {
-				if c.outstanding >= s.cfg.MLP {
-					break
-				}
-				if s.ctrl[c.domain].queuedBytes > s.cfg.QueueCapBytes {
+			for c.issueAcc >= 1 {
+				if c.outstanding >= s.cfg.MLP || s.ctrl[c.domain].lines > s.capLines {
 					break
 				}
 				s.issueIteration(c, active)
 				c.issueAcc--
 				if c.cursor >= int64(linesPerCore) {
 					c.done = true
+					running--
+					break
 				}
 			}
 		}
@@ -418,41 +489,25 @@ func (s *System) run(active, linesPerCore int, streams []workStream) (TrafficRes
 			// the template's dirty count, and each L3 slice its count
 			// of (all dirty) lines.
 			for _, c := range act {
-				ctl := s.ctrl[c.domain]
-				for range s.dirty {
-					ctl.enqueue(writeReq)
-				}
+				s.ctrl[c.domain].enqueueWrites(s.dirty)
 			}
 			for d, l3 := range s.l3 {
-				for range l3.lines {
-					s.ctrl[d].enqueue(writeReq)
-				}
+				s.ctrl[d].enqueueWrites(l3.lines)
 			}
 			flushed = true
 		}
+		empty := true
 		for _, ctl := range s.ctrl {
-			ctl.serve(completed)
+			ctl.serve(s.cores)
+			empty = empty && ctl.lines == 0
 		}
-		for i, c := range act {
-			if completed[i] > 0 {
-				c.outstanding -= completed[i]
-				completed[i] = 0
-			}
-		}
-		if allDone && flushed {
-			empty := true
-			for _, ctl := range s.ctrl {
-				if ctl.count > 0 {
-					empty = false
-				}
-			}
-			if empty {
-				s.ticks = tick
-				break
-			}
+		if flushed && empty {
+			s.ticks = tick
+			break
 		}
 	}
 
+	var res TrafficResult
 	for _, ctl := range s.ctrl {
 		res.MemReadBytes += ctl.ReadBytes
 		res.MemWriteBytes += ctl.WriteBytes
@@ -461,9 +516,14 @@ func (s *System) run(active, linesPerCore int, streams []workStream) (TrafficRes
 		res.StoredBytes += c.storedBytes
 		res.LoadedBytes += c.loadedBytes
 	}
+	res.ActiveCores = active
 	res.Ticks = s.ticks
 	return res, nil
 }
+
+// SteppedTicks returns how many of the last run's Ticks were simulated
+// one by one; the rest were fast-forwarded (see fastForward).
+func (s *System) SteppedTicks() int64 { return s.ticks - s.ff.skipped }
 
 // buildTrace runs the template core (core 0) through linesPerCore
 // iterations of the run's streams on a fresh private L1/L2 and detector,
@@ -582,7 +642,7 @@ func (s *System) issueIteration(c *simCore, active int) {
 				}
 			}
 			if needRead {
-				ctl.enqueue(request(c.id))
+				ctl.enqueueRead(c.id)
 				c.outstanding++
 			}
 		}
@@ -592,7 +652,7 @@ func (s *System) issueIteration(c *simCore, active int) {
 				set -= s.l3Sets
 			}
 			if s.l3[c.domain].insert(set, s.l3Ways) {
-				s.ctrl[c.domain].enqueue(writeReq)
+				s.ctrl[c.domain].enqueueWrites(1)
 			}
 		}
 	}
@@ -603,12 +663,12 @@ func (s *System) issueIteration(c *simCore, active int) {
 // buffers: the line bypasses the cache hierarchy entirely.
 func (s *System) ntStore(c *simCore, active int) {
 	ctl := s.ctrl[c.domain]
-	ctl.enqueue(writeReq)
+	ctl.enqueueWrites(1)
 	if s.cfg.NTResidualRFO > 0 && active > s.cfg.NTResidualMinCores {
 		c.ntResidAcc += s.cfg.NTResidualRFO
 		if c.ntResidAcc >= 1 {
 			c.ntResidAcc--
-			ctl.enqueue(request(c.id))
+			ctl.enqueueRead(c.id)
 			c.outstanding++
 		}
 	}
@@ -630,8 +690,8 @@ func (s *System) reset() {
 	for d := range s.l3 {
 		clear(s.l3[d].fill)
 		s.l3[d].lines = 0
+		s.l3[d].evictions = 0
 		s.ctrl[d].reset()
 	}
-	clear(s.completed)
 	s.ticks = 0
 }

@@ -196,6 +196,18 @@ func TestRunValidation(t *testing.T) {
 		{"DomainGBs below a line per two ticks", func(c *Config) { c.DomainGBs = 3 }, true},
 		{"DomainGBs at a line per two ticks", func(c *Config) { c.DomainGBs = 3.2 }, false},
 		{"negative queue cap", func(c *Config) { c.QueueCapBytes = -1 }, true},
+		{"infinite DomainGBs", func(c *Config) { c.DomainGBs = math.Inf(1) }, true},
+		{"DomainGBs beyond 2^52 bytes per tick", func(c *Config) { c.DomainGBs = 1 << 53 / 10 }, true},
+		{"NaN residual RFO share", func(c *Config) { c.NTResidualRFO = math.NaN() }, true},
+		{"negative residual RFO share", func(c *Config) { c.NTResidualRFO = -0.1 }, true},
+		{"residual RFO share above 1", func(c *Config) { c.NTResidualRFO = 1.5 }, true},
+		{"residual RFO share 1", func(c *Config) { c.NTResidualRFO = 1 }, false},
+		{"NaN SpecI2M threshold", func(c *Config) { c.SpecI2MThreshold = math.NaN() }, true},
+		{"negative SpecI2M threshold", func(c *Config) { c.SpecI2MThreshold = -0.5 }, true},
+		{"NaN SpecI2M max share", func(c *Config) { c.SpecI2MMaxShare = math.NaN() }, true},
+		{"negative SpecI2M max share", func(c *Config) { c.SpecI2MMaxShare = -0.25 }, true},
+		{"NaN SpecI2M ramp end", func(c *Config) { c.SpecI2MRampEnd = math.NaN() }, true},
+		{"negative SpecI2M ramp end", func(c *Config) { c.SpecI2MRampEnd = -1 }, true},
 	}
 	for _, tc := range configs {
 		cfg := MustConfigFor("zen4")
@@ -225,6 +237,37 @@ func TestRunValidation(t *testing.T) {
 	for _, tc := range runs {
 		if _, err := s.RunStoreStream(tc.active, tc.lines, false); err == nil {
 			t.Errorf("%s must error", tc.name)
+		}
+	}
+}
+
+// TestSteppedTicks checks SteppedTicks against Ticks: a run whose
+// controllers saturate never repeats, so it steps every tick, while a
+// core-bound run is fast-forwarded. TestGoldenMemsim bounds the total
+// over the golden runs.
+func TestSteppedTicks(t *testing.T) {
+	for _, tc := range []struct {
+		key       string
+		cores     int
+		nt        bool
+		saturated bool
+	}{
+		{"neoversev2", 72, false, true},
+		{"goldencove", 52, false, true},
+		{"zen4", 96, false, true},
+		{"zen4", 96, true, true},
+		{"neoversev2", 32, false, false},
+		{"goldencove", 4, false, false},
+		{"zen4", 64, true, false},
+	} {
+		s := sys(t, tc.key)
+		r, err := s.RunStoreStream(tc.cores, testLines, tc.nt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stepped := s.SteppedTicks()
+		if tc.saturated && stepped != r.Ticks || !tc.saturated && !(stepped > 0 && stepped < r.Ticks) {
+			t.Errorf("%s at %d cores (nt %v): stepped %d of %d ticks, saturated %v", tc.key, tc.cores, tc.nt, stepped, r.Ticks, tc.saturated)
 		}
 	}
 }
@@ -424,30 +467,76 @@ func TestPlacementCompactVsScatter(t *testing.T) {
 	}
 }
 
-// TestControllerRingFIFO drives the controller's ring through
-// wrap-around and through a grow while head != 0: requests must leave in
-// exactly the order they entered.
+// TestControllerRingFIFO drives the controller's run ring through merges,
+// wrap-around and a grow while head != 0: lines must leave in exactly the
+// order they entered, and the runs must be the maximal ones.
 func TestControllerRingFIFO(t *testing.T) {
-	// Each request carries its sequence number as its core id; a tick
-	// serves exactly one 64-byte request.
+	// Merge: reads of one core join while no write follows them, writes
+	// always join the tail, and a read behind a write starts a new run.
 	c := &controller{bytesPerTick: 64, lineBytes: 64}
+	for range 3 {
+		c.enqueueRead(3)
+	}
+	c.enqueueWrites(2)
+	c.enqueueWrites(0)
+	c.enqueueWrites(1)
+	c.enqueueRead(3)
+	c.enqueueRead(4)
+	c.enqueueRead(4)
+	want := []lineRun{{3, 3, 3}, {3, 1, 0}, {4, 2, 0}}
+	if c.count != len(want) || c.lines != 9 {
+		t.Fatalf("merge: %d runs of %d lines, want %d runs of 9", c.count, c.lines, len(want))
+	}
+	for i, w := range want {
+		if c.queue[i] != w {
+			t.Errorf("merge: run %d = %+v, want %+v", i, c.queue[i], w)
+		}
+	}
+
+	// A partly served run keeps its place; once its reads are served its
+	// core is cleared, so equal queues have equal runs.
+	cores := make([]*simCore, 5)
+	for i := range cores {
+		cores[i] = &simCore{outstanding: 10}
+	}
+	c.bytesPerTick = 2 * 64
+	c.serve(cores)
+	if c.queue[c.head] != (lineRun{3, 1, 3}) || cores[3].outstanding != 8 || c.ReadBytes != 128 {
+		t.Fatalf("partial read: head run %+v, core 3 outstanding %d, read bytes %d", c.queue[c.head], cores[3].outstanding, c.ReadBytes)
+	}
+	c.serve(cores)
+	if c.queue[c.head] != (lineRun{-1, 0, 2}) || cores[3].outstanding != 7 || c.WriteBytes != 64 {
+		t.Fatalf("partial write: head run %+v, core 3 outstanding %d, write bytes %d", c.queue[c.head], cores[3].outstanding, c.WriteBytes)
+	}
+	c.bytesPerTick = 4 * 64
+	c.budget = 0
+	c.serve(cores) // two writes, the next run, one read of the last
+	if c.count != 1 || c.lines != 1 || cores[3].outstanding != 6 || cores[4].outstanding != 9 {
+		t.Fatalf("cross-run serve: %d runs of %d lines, outstanding %d, %d", c.count, c.lines, cores[3].outstanding, cores[4].outstanding)
+	}
+
+	// Wrap and grow. Each read carries its sequence number as its core,
+	// so no two merge, and a tick serves exactly one 64-byte line.
+	c = &controller{bytesPerTick: 64, lineBytes: 64}
 	const total = 64 + 40 + 10
-	completed := make([]int, total)
-	next, want := 0, 0
+	cores = make([]*simCore, total)
+	for i := range cores {
+		cores[i] = &simCore{outstanding: 1}
+	}
+	next, served := 0, 0
 	push := func(n int) {
-		for i := 0; i < n; i++ {
-			c.enqueue(request(next))
+		for range n {
+			c.enqueueRead(int32(next))
 			next++
 		}
 	}
 	pop := func(n int) {
-		for i := 0; i < n; i++ {
-			c.serve(completed)
-			if completed[want] != 1 {
-				t.Fatalf("tick %d did not serve request %d (FIFO order broken): %v", want, want, completed)
+		for range n {
+			c.serve(cores)
+			if cores[served].outstanding != 0 || served+1 < total && cores[served+1].outstanding != 1 {
+				t.Fatalf("tick %d did not serve exactly line %d (FIFO order broken)", served, served)
 			}
-			completed[want] = 0
-			want++
+			served++
 		}
 	}
 	push(64) // fills the initial ring
@@ -461,7 +550,7 @@ func TestControllerRingFIFO(t *testing.T) {
 		t.Fatalf("after grow: len %d head %d; want 128, 0", len(c.queue), c.head)
 	}
 	pop(c.count)
-	if c.count != 0 || c.queuedBytes != 0 || want != total {
-		t.Errorf("drained ring: count %d queuedBytes %d, served %d of %d", c.count, c.queuedBytes, want, total)
+	if c.count != 0 || c.lines != 0 || served != total || c.ReadBytes != total*64 {
+		t.Errorf("drained ring: count %d lines %d, served %d of %d, read bytes %d", c.count, c.lines, served, total, c.ReadBytes)
 	}
 }
